@@ -3,8 +3,10 @@
 Machine output (JSON lines, TSV) goes to stdout alone; human-oriented text is
 a separate format, never mixed onto the same stream.  Every sampled run is
 seeded and prints its seed, so identical config plus seed reproduces the
-report byte for byte.  Exit status 0 means every check in the run met its
-tolerance; 1 means some check failed; argparse reports usage errors with 2.
+report byte for byte.  The checks and their tolerances live in flows and
+symmetry; this module draws the samples and renders the records.  Exit status
+0 means every check in the run met its tolerance; 1 means some check failed;
+2 is a usage error, out-of-range values included.
 """
 
 from __future__ import annotations
@@ -13,27 +15,45 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 
 from . import engine, flows, selftest, symmetry
 from .matgroup import alpha_group
 
-_DEF_TRANSLATION_TOL = {"parabolic": 1e-10, "level0": 1e-10}
+
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than lo."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
 
 
-def _parse_m_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    m = int(text)
-    return m, m
+_m_value = _int_at_least(3)
 
 
-def _make_flow(args) -> flows.ClosedFormFlow:
-    if args.family in ("radical_x", "radical_y"):
-        if args.k is None:
-            raise SystemExit("--k is required for the radical families")
-        return flows.ClosedFormFlow(args.family, args.k)
-    return flows.ClosedFormFlow(args.family)
+def _m_range(text: str) -> tuple[int, int]:
+    """argparse type for classify --m: a single m or a range lo..hi, each m >= 3."""
+    lo, _, hi = text.partition("..")
+    lo = _m_value(lo)
+    hi = _m_value(hi) if hi else lo
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return lo, hi
+
+
+def _make_flow(family: str, args) -> flows.ClosedFormFlow:
+    if family not in ("radical_x", "radical_y"):
+        return flows.ClosedFormFlow(family)
+    if args.k is None:
+        raise argparse.ArgumentError(None, f"--k is required for --family {args.family}")
+    return flows.ClosedFormFlow(family, args.k)
 
 
 def _emit(lines, args):
@@ -45,23 +65,32 @@ def _emit(lines, args):
         sys.stdout.write(text)
 
 
-def _record_lines(records, args, seed):
+def _judge(records, args) -> list:
+    """The records, each held to --tol instead of its own tolerance when --tol is given."""
+    if args.tol is None:
+        return records
+    return [replace(r, tol=args.tol) for r in records]
+
+
+def _report(records, args) -> int:
+    records = _judge(records, args)
     if args.format == "json":
-        return [
-            json.dumps({**r.as_dict(), "seed": seed}, sort_keys=True)
+        lines = [
+            json.dumps({**r.as_dict(), "seed": args.seed}, sort_keys=True)
             for r in records
         ]
-    lines = [f"seed={seed}"]
-    for r in records:
-        lines.append(
-            f"{r.flow}  {r.check}: n={r.n_samples}  max_residual={r.max_residual:.3e}"
-        )
-    return lines
+    else:
+        lines = [f"seed={args.seed}"]
+        for r in records:
+            lines.append(
+                f"{r.flow}  {r.check}: n={r.n_samples}  max_residual={r.max_residual:.3e}"
+            )
+    _emit(lines, args)
+    return 0 if all(r.passed for r in records) else 1
 
 
 def cmd_classify(args) -> int:
-    lo, hi = _parse_m_range(args.m)
-    rows = engine.classify_alpha(lo, hi)
+    rows = engine.classify_alpha(*args.m)
     if args.format == "json":
         lines = [json.dumps(row.as_dict(), sort_keys=True) for row in rows]
     elif args.format == "tsv":
@@ -112,111 +141,43 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify_flow(args) -> int:
-    flow = _make_flow(args)
-    rng = random.Random(args.seed)
-    triples = [
-        (flow.sample_point(rng), flow.sample_time(rng), flow.sample_time(rng))
-        for _ in range(args.samples)
-    ]
-    record = flows.verify_translation(flow, triples)
-    tol = args.tol if args.tol is not None else _DEF_TRANSLATION_TOL.get(flow.family, 1e-9)
-    _emit(_record_lines([record], args, args.seed), args)
-    return 0 if record.max_residual <= tol else 1
+    flow = _make_flow(args.family, args)
+    return _report([flows.check_translation(flow, random.Random(args.seed), args.samples)], args)
 
 
 def cmd_verify_pde(args) -> int:
-    flow = _make_flow(args)
-    field = flow.vector_field()
-    rng = random.Random(args.seed)
-    points = [flow.sample_point(rng) for _ in range(args.samples)]
-    pde = flows.verify_pde(flow, field, points)
-    worst = 0.0
-    for p in [flow.sample_point(rng) for _ in range(args.samples)]:
-        fd = flows.extract_vector_field(flow, p)
-        exact = field.eval_field(p)
-        scale = max(1.0, max(abs(v) for v in exact))
-        worst = max(worst, max(abs(a - b) for a, b in zip(fd, exact)) / scale)
-    extraction = flows.VerificationRecord(
-        flow.label, "vector_field_extraction", args.samples, worst, None
-    )
-    tol = args.tol if args.tol is not None else 1e-6
-    _emit(_record_lines([pde, extraction], args, args.seed), args)
-    return 0 if pde.max_residual <= tol and worst <= 1e-7 else 1
+    flow = _make_flow(args.family, args)
+    return _report(flows.check_pde(flow, random.Random(args.seed), args.samples), args)
 
 
 def cmd_orbits(args) -> int:
-    rng = random.Random(args.seed)
-    cases = [
-        (flows.OrbitFunction("coordinate_y"), flows.ClosedFormFlow("radical_x", 1).vector_field(), 0.5),
-        (flows.OrbitFunction("coordinate_x"), flows.ClosedFormFlow("radical_y", 1).vector_field(), 0.5),
-        (flows.OrbitFunction("nonalgebraic_example"), flows.nonalgebraic_field(), 0.3),
-    ]
-    tol = args.tol if args.tol is not None else 1e-6
-    records, ok = [], True
-    for orbit, field, t_end in cases:
-        path = flows.integrate_trajectory(field, (1.0, 1.0), t_end, args.steps)
-        drift = flows.orbit_residual(orbit, path)
-        records.append(
-            flows.VerificationRecord(orbit.kind, "orbit_conservation", args.steps, drift, None)
-        )
-        points = [(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)) for _ in range(args.samples)]
-        ode = flows.verify_orbit_ode(orbit, field, points)
-        records.append(ode)
-        ok = ok and drift <= tol and ode.max_residual <= tol
-    _emit(_record_lines(records, args, args.seed), args)
-    return 0 if ok else 1
-
-
-_FAMILY_FLOWS = {
-    "gamma_4k3": lambda k: flows.ClosedFormFlow("radical_x", k),
-    "gamma_4k1": lambda k: flows.ClosedFormFlow("radical_y", k),
-    "delta_tilde": lambda k: flows.ClosedFormFlow("parabolic"),
-    "gamma_sph": lambda k: flows.ClosedFormFlow("sph_inf"),
-}
-
-_FAMILY_MAKERS = {
-    "gamma_4k3": lambda k: symmetry.gamma_4k3(k),
-    "gamma_4k1": lambda k: symmetry.gamma_4k1(k),
-    "delta_tilde": lambda k: symmetry.delta_tilde(),
-    "gamma_sph": lambda k: symmetry.gamma_sph(),
-}
+    return _report(flows.check_orbits(random.Random(args.seed), args.samples, args.steps), args)
 
 
 def cmd_symmetry(args) -> int:
-    if args.family in ("gamma_4k3", "gamma_4k1") and args.k is None:
-        raise SystemExit("--k is required for the diagonal power families")
-    k = args.k if args.k is not None else 0
-    flow = _FAMILY_FLOWS[args.family](k)
-    family = _FAMILY_MAKERS[args.family](k)
-    tol = args.tol if args.tol is not None else 1e-8
+    flow = _make_flow(symmetry.FAMILIES[args.family][0], args)
+    family = symmetry.flow_symmetry_family(flow)
     rng = random.Random(args.seed)
     samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(20)]
-    worst, all_passed = 0.0, True
-    for _ in range(args.draws):
-        member = family.matrix_numeric(family.sample_params(rng))
-        ok, resid = symmetry.check_flow_symmetry(member, flow, samples, tol=tol)
-        worst = max(worst, resid)
-        all_passed = all_passed and ok
-    report = {
-        "flow": flow.label,
-        "family": family.label,
-        "n_draws": args.draws,
-        "all_passed": all_passed,
-        "worst_residual": worst,
-        "seed": args.seed,
-    }
+    (record,) = _judge([symmetry.check_family_draws(flow, samples, rng, args.draws)], args)
     if args.format == "json":
-        _emit([json.dumps(report, sort_keys=True)], args)
+        report = {
+            "flow": flow.label,
+            "family": family.label,
+            "n_draws": record.n_samples,
+            "all_passed": record.passed,
+            "worst_residual": record.max_residual,
+            "seed": args.seed,
+        }
+        lines = [json.dumps(report, sort_keys=True)]
     else:
-        _emit(
-            [
-                f"seed={args.seed}",
-                f"{flow.label}  {family.label}: draws={args.draws} "
-                f"all_passed={all_passed} worst_residual={worst:.3e}",
-            ],
-            args,
-        )
-    return 0 if all_passed else 1
+        lines = [
+            f"seed={args.seed}",
+            f"{flow.label}  {family.label}: draws={record.n_samples} "
+            f"all_passed={record.passed} worst_residual={record.max_residual:.3e}",
+        ]
+    _emit(lines, args)
+    return 0 if record.passed else 1
 
 
 def cmd_selftest(args) -> int:
@@ -252,47 +213,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples_default=100):
-        p.add_argument("--samples", type=int, default=samples_default)
+    positive = _int_at_least(1)
+
+    def common(p):
+        p.add_argument("--samples", type=positive, default=100)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=float, default=None,
+                       help="tolerance for every check, replacing each one's own")
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("classify", help="superflow verdicts for alpha groups over an m range")
-    p.add_argument("--m", required=True, help="single m or a range lo..hi")
+    p.add_argument("--m", type=_m_range, required=True, help="single m or a range lo..hi")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("solve", help="superflow verdict for one alpha group")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--m", type=_m_value, required=True)
+    p.add_argument("--max-degree", type=_int_at_least(0), default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("verify-flow", help="translation-equation residual for one flow")
     p.add_argument("--family", choices=flows.FAMILIES, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=positive, default=None)
     common(p)
     p.set_defaults(func=cmd_verify_flow)
 
     p = sub.add_parser("verify-pde", help="flow PDE residual and field extraction")
     p.add_argument("--family", choices=flows.FAMILIES, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=positive, default=None)
     common(p)
     p.set_defaults(func=cmd_verify_pde)
 
     p = sub.add_parser("orbits", help="orbit-function conservation along RK4 paths")
-    p.add_argument("--steps", type=int, default=1500)
+    p.add_argument("--steps", type=positive, default=1500)
     common(p)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("symmetry", help="sampled verification of a symmetry family")
-    p.add_argument("--family", choices=sorted(_FAMILY_MAKERS), required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--draws", type=int, default=20)
+    p.add_argument("--family", choices=sorted(symmetry.FAMILIES), required=True)
+    p.add_argument("--k", type=positive, default=None)
+    p.add_argument("--draws", type=positive, default=20)
     common(p)
     p.set_defaults(func=cmd_symmetry)
 
@@ -309,6 +273,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        parser.error(str(exc))
     except (ValueError, ZeroDivisionError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -20,7 +20,7 @@ evaluation refuses (BranchError) when the segment meets zero.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
@@ -32,13 +32,15 @@ __all__ = [
     "ClosedFormFlow",
     "OrbitFunction",
     "VerificationRecord",
-    "flow_eval",
     "verify_translation",
     "extract_vector_field",
     "verify_pde",
     "integrate_trajectory",
     "orbit_residual",
     "verify_orbit_ode",
+    "check_translation",
+    "check_pde",
+    "check_orbits",
     "conjugate_flow_numeric",
     "nonalgebraic_field",
     "catalog",
@@ -166,17 +168,20 @@ def catalog() -> list[ClosedFormFlow]:
     ]
 
 
-def flow_eval(flow: ClosedFormFlow, point, t) -> tuple[complex, complex]:
-    return flow.eval(point, t)
-
-
 @dataclass(frozen=True)
 class VerificationRecord:
+    """One check; it passes when it saw samples and its max residual meets tol."""
+
     flow: str
     check: str
     n_samples: int
     max_residual: float
     worst_sample: object
+    tol: float | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.tol is not None and self.n_samples > 0 and self.max_residual <= self.tol
 
     def as_dict(self) -> dict:
         return {
@@ -358,6 +363,52 @@ def verify_orbit_ode(
         if resid > worst:
             worst, worst_sample = resid, (x, y)
     return VerificationRecord(orbit.kind, "orbit_ode", count, worst, worst_sample)
+
+
+# -- the acceptance checks: seeded draws held to their tolerances ------------
+
+
+def check_translation(flow: ClosedFormFlow, rng, n: int) -> VerificationRecord:
+    """Translation identity at n drawn (p, t, s); the rational flows must hold to 1e-10."""
+    triples = [
+        (flow.sample_point(rng), flow.sample_time(rng), flow.sample_time(rng))
+        for _ in range(n)
+    ]
+    tol = 1e-10 if flow.family in ("parabolic", "level0") else 1e-9
+    return replace(verify_translation(flow, triples), tol=tol)
+
+
+def check_pde(flow: ClosedFormFlow, rng, n: int) -> list[VerificationRecord]:
+    """The flow PDE at n drawn points; then, at n more, the extracted field vs the exact one."""
+    field = flow.vector_field()
+    pde = verify_pde(flow, field, [flow.sample_point(rng) for _ in range(n)])
+    worst = 0.0
+    for p in [flow.sample_point(rng) for _ in range(n)]:
+        fd = extract_vector_field(flow, p)
+        exact = field.eval_field(p)
+        scale = max(1.0, max(abs(v) for v in exact))
+        worst = max(worst, max(abs(a - b) for a, b in zip(fd, exact)) / scale)
+    extraction = VerificationRecord(flow.label, "vector_field_extraction", n, worst, None, 1e-7)
+    return [replace(pde, tol=1e-6), extraction]
+
+
+def check_orbits(rng, n: int, steps: int) -> list[VerificationRecord]:
+    """Per orbit case: drift of W along an RK4 path from (1, 1), then the orbit ODE at n points."""
+    cases = [
+        ("coordinate_y", ClosedFormFlow("radical_x", 1).vector_field(), 0.5, 1e-9),
+        ("coordinate_x", ClosedFormFlow("radical_y", 1).vector_field(), 0.5, 1e-9),
+        ("nonalgebraic_example", nonalgebraic_field(), 0.3, 1e-6),
+    ]
+    records = []
+    for kind, field, t_end, drift_tol in cases:
+        orbit = OrbitFunction(kind)
+        drift = orbit_residual(orbit, integrate_trajectory(field, (1.0, 1.0), t_end, steps))
+        records.append(
+            VerificationRecord(kind, "orbit_conservation", steps, drift, None, drift_tol)
+        )
+        points = [(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)) for _ in range(n)]
+        records.append(replace(verify_orbit_ode(orbit, field, points), tol=1e-6))
+    return records
 
 
 def _as_numeric_matrix(L):

@@ -24,7 +24,7 @@ from .cyclotomic import CycNum
 from .errors import NonMonomialDenominatorError, SingularPointError
 from .matgroup import Mat2
 
-__all__ = ["HomPoly", "RatVF", "monomial_field", "conjugate_field", "reynolds_average"]
+__all__ = ["HomPoly", "RatVF", "monomial_field", "reynolds_average"]
 
 
 def _scalar(value) -> CycNum:
@@ -498,10 +498,6 @@ def monomial_field(component: int, i: int, lx: int, ly: int, coeff=1) -> RatVF:
     if component == 0:
         return RatVF(num, zero, lx, ly)
     return RatVF(zero, num, lx, ly)
-
-
-def conjugate_field(L: Mat2, field: RatVF) -> RatVF:
-    return field.conjugate(L)
 
 
 def reynolds_average(group, field: RatVF) -> RatVF:

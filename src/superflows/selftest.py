@@ -3,7 +3,10 @@
 Each criterion below is a pure function returning a CriterionResult; the CLI
 `selftest` command and the pytest acceptance module both drive this list, so
 the shipped binary and the test suite agree on what "passing" means.  All
-sampling is seeded and the checks carry their tolerances inline.
+sampling is seeded.  The numeric criteria draw from one seeded generator and
+run the check functions of `flows` and `symmetry`, which own the tolerances
+and are the same ones the CLI runs; their failing records are the problems
+reported.  The exact criteria compare against closed forms and oracles here.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ class CriterionResult:
 
 def _result(name, start, passed, detail) -> CriterionResult:
     return CriterionResult(name, passed, detail, time.time() - start)
+
+
+def _failures(records) -> list[str]:
+    return [f"{r.flow} {r.check} {r.max_residual:.2e}" for r in records if not r.passed]
 
 
 def criterion_classification() -> CriterionResult:
@@ -130,29 +137,11 @@ def criterion_flow_identities() -> CriterionResult:
     """Translation identity, PDE, and field extraction for every cataloged flow."""
     start = time.time()
     rng = random.Random(SEED)
-    problems = []
+    records = []
     for flow in flows.catalog():
-        trans_tol = 1e-10 if flow.family in ("parabolic", "level0") else 1e-9
-        triples = [
-            (flow.sample_point(rng), flow.sample_time(rng), flow.sample_time(rng))
-            for _ in range(200)
-        ]
-        rec = flows.verify_translation(flow, triples)
-        if rec.max_residual > trans_tol:
-            problems.append(f"{flow.label} translation {rec.max_residual:.2e}")
-        field = flow.vector_field()
-        points = [flow.sample_point(rng) for _ in range(200)]
-        pde = flows.verify_pde(flow, field, points)
-        if pde.max_residual > 1e-6:
-            problems.append(f"{flow.label} pde {pde.max_residual:.2e}")
-        worst = 0.0
-        for p in [flow.sample_point(rng) for _ in range(200)]:
-            fd = flows.extract_vector_field(flow, p)
-            exact = field.eval_field(p)
-            scale = max(1.0, max(abs(v) for v in exact))
-            worst = max(worst, max(abs(a - b) for a, b in zip(fd, exact)) / scale)
-        if worst > 1e-7:
-            problems.append(f"{flow.label} field extraction {worst:.2e}")
+        records.append(flows.check_translation(flow, rng, 200))
+        records += flows.check_pde(flow, rng, 200)
+    problems = _failures(records)
     elapsed = time.time() - start
     if elapsed >= 10.0:
         problems.append(f"runtime {elapsed:.1f}s exceeds 10s")
@@ -165,29 +154,13 @@ def criterion_flow_identities() -> CriterionResult:
 def criterion_orbits() -> CriterionResult:
     """Orbit functions stay constant along RK4 trajectories; orbit ODE residuals."""
     start = time.time()
-    rng = random.Random(SEED)
-    cases = [
-        (flows.OrbitFunction("coordinate_y"), flows.ClosedFormFlow("radical_x", 1).vector_field(), 1e-9),
-        (flows.OrbitFunction("coordinate_x"), flows.ClosedFormFlow("radical_y", 1).vector_field(), 1e-9),
-        (flows.OrbitFunction("nonalgebraic_example"), flows.nonalgebraic_field(), 1e-6),
-    ]
-    problems = []
-    for orbit, field, drift_tol in cases:
-        t_end = 0.3 if orbit.kind == "nonalgebraic_example" else 0.5
-        path = flows.integrate_trajectory(field, (1.0, 1.0), t_end, 1500)
-        drift = flows.orbit_residual(orbit, path)
-        if drift > drift_tol:
-            problems.append(f"{orbit.kind} drift {drift:.2e}")
-        points = [(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)) for _ in range(100)]
-        rec = flows.verify_orbit_ode(orbit, field, points)
-        if rec.max_residual > 1e-6:
-            problems.append(f"{orbit.kind} ode {rec.max_residual:.2e}")
+    problems = _failures(flows.check_orbits(random.Random(SEED), 100, 1500))
     detail = "; ".join(problems) if problems else "3 orbit examples conserved"
     return _result("orbit_checks", start, not problems, detail)
 
 
 def criterion_symmetry_families() -> CriterionResult:
-    """Family draws pass at 1e-8, off-family draws fail, finite-order laws exact."""
+    """Family draws pass, off-family draws fail, finite-order laws exact."""
     start = time.time()
     rng = random.Random(SEED)
     problems = []
@@ -200,13 +173,8 @@ def criterion_symmetry_families() -> CriterionResult:
         flows.ClosedFormFlow("sph_inf"),
     ]
     for flow in paired:
-        family = symmetry.flow_symmetry_family(flow)
         samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(20)]
-        for draw in range(20):
-            member = family.matrix_numeric(family.sample_params(rng))
-            ok, resid = symmetry.check_flow_symmetry(member, flow, samples)
-            if not ok:
-                problems.append(f"{family.label} draw {draw} resid {resid:.2e}")
+        problems += _failures([symmetry.check_family_draws(flow, samples, rng, 20)])
         # off-family: random invertible matrices must all fail
         fails = 0
         attempts = 0

@@ -20,13 +20,14 @@ except d = 1 with b != 0, which is of infinite order.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, tau
 
 from .cyclotomic import CycNum
 from .errors import BranchError
-from .flows import ClosedFormFlow, _as_numeric_matrix
+from .flows import ClosedFormFlow, VerificationRecord, _as_numeric_matrix
 from .homog import RatVF
 from .matgroup import Mat2, matrix_finite_order
 
@@ -38,11 +39,15 @@ __all__ = [
     "gamma_sph",
     "check_field_symmetry",
     "check_flow_symmetry",
+    "check_family_draws",
     "diagonal_symmetry_solve",
     "family_finite_order",
     "cross_check_finite_order",
     "flow_symmetry_family",
+    "FAMILIES",
 ]
+
+SYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,10 +103,8 @@ def _exact(value) -> CycNum:
 
 
 def _random_unit_annulus(rng) -> complex:
-    import cmath
-
     radius = rng.uniform(0.6, 1.4)
-    angle = rng.uniform(0.0, 2.0 * 3.141592653589793)
+    angle = rng.uniform(0.0, tau)
     return radius * cmath.exp(1j * angle)
 
 
@@ -131,16 +134,20 @@ def gamma_sph() -> SymmetryFamily:
     return SymmetryFamily("gamma_sph", None, "gamma_sph")
 
 
+# family name -> (flow family it fixes, maker; the radical makers take the flow's k)
+FAMILIES = {
+    "gamma_4k3": ("radical_x", gamma_4k3),
+    "gamma_4k1": ("radical_y", gamma_4k1),
+    "delta_tilde": ("parabolic", delta_tilde),
+    "gamma_sph": ("sph_inf", gamma_sph),
+}
+
+
 def flow_symmetry_family(flow: ClosedFormFlow) -> SymmetryFamily:
     """The symmetry family attached to a cataloged flow."""
-    if flow.family == "radical_x":
-        return gamma_4k3(flow.k)
-    if flow.family == "radical_y":
-        return gamma_4k1(flow.k)
-    if flow.family == "parabolic":
-        return delta_tilde()
-    if flow.family == "sph_inf":
-        return gamma_sph()
+    for flow_family, make in FAMILIES.values():
+        if flow_family == flow.family:
+            return make(flow.k) if flow.k else make()
     raise ValueError(f"no cataloged symmetry family for {flow.label}")
 
 
@@ -160,7 +167,7 @@ def _numeric_field_residual(L, field: RatVF, samples) -> float:
     return worst
 
 
-def check_field_symmetry(L, field: RatVF, samples=None, tol: float = 1e-8, resample=None):
+def check_field_symmetry(L, field: RatVF, samples=None, tol: float = SYMMETRY_TOL, resample=None):
     """Whether L^(-1) o V o L == V; returns (bool, max residual).
 
     Exact matrices take the exact symbolic route whenever the conjugation
@@ -202,7 +209,7 @@ def _flow_symmetry_residual(L, flow: ClosedFormFlow, samples) -> float:
     return worst
 
 
-def check_flow_symmetry(L, flow: ClosedFormFlow, samples, tol: float = 1e-8, resample=None):
+def check_flow_symmetry(L, flow: ClosedFormFlow, samples, tol: float = SYMMETRY_TOL, resample=None):
     """Whether L^(-1)(phi^t(L p)) == phi^t(p) at every sample (p, t).
 
     Branch trouble (the conjugated radicand path meeting zero) propagates as
@@ -213,6 +220,18 @@ def check_flow_symmetry(L, flow: ClosedFormFlow, samples, tol: float = 1e-8, res
     if worst > tol and resample is not None:
         worst = _flow_symmetry_residual(L, flow, resample())
     return worst <= tol, worst
+
+
+def check_family_draws(flow: ClosedFormFlow, samples, rng, draws: int) -> VerificationRecord:
+    """The flow's symmetry family at `draws` random members; the worst one is the sample."""
+    family = flow_symmetry_family(flow)
+    worst, worst_member = 0.0, None
+    for _ in range(draws):
+        member = family.matrix_numeric(family.sample_params(rng))
+        _, resid = check_flow_symmetry(member, flow, samples)
+        if resid > worst:
+            worst, worst_member = resid, member
+    return VerificationRecord(flow.label, "symmetry", draws, worst, worst_member, SYMMETRY_TOL)
 
 
 def diagonal_symmetry_solve(field: RatVF):
@@ -269,7 +288,7 @@ def family_finite_order(family: SymmetryFamily, params):
         e1, e2 = family.exponents
         o1 = order // gcd(order, e1 % order if e1 % order else order)
         o2 = order // gcd(order, e2 % order if e2 % order else order)
-        return _lcm(o1, o2)
+        return lcm(o1, o2)
     if family.kind == "delta_tilde":
         b, d = params
     else:
@@ -281,11 +300,7 @@ def family_finite_order(family: SymmetryFamily, params):
     if order is None:
         return None
     # eigenvalues d^2 and d are distinct, so the matrix is diagonalizable
-    return _lcm(order // gcd(order, 2), order)
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+    return lcm(order // gcd(order, 2), order)
 
 
 def _is_zero_param(b) -> bool:

@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from superflows import cli
+from superflows import cli, flows
 
 
 def run_cli(argv):
@@ -124,9 +124,52 @@ def test_usage_error_exit_code():
 
 
 def test_engine_error_surfaces_with_context(capsys):
-    code = cli.main(["solve", "--m", "2"])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        cli.main(["solve", "--m", "2"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "--m" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--m", "2"],
+        ["solve", "--m", "5", "--max-degree", "-1"],
+        ["classify", "--m", "abc"],
+        ["classify", "--m", "2..5"],
+        ["classify", "--m", "9..5"],
+        ["verify-flow", "--family", "radical_x", "--k", "0"],
+        ["verify-flow", "--family", "radical_x"],
+        ["verify-flow", "--family", "parabolic", "--samples", "0"],
+        ["verify-pde", "--family", "parabolic", "--samples", "0"],
+        ["orbits", "--steps", "0"],
+        ["symmetry", "--family", "gamma_sph", "--draws", "0"],
+        ["symmetry", "--family", "gamma_4k3"],
+        ["verify-flow", "--family", "parabolic", "--format", "tsv"],
+        ["verify-pde", "--family", "parabolic", "--format", "tsv"],
+        ["orbits", "--format", "tsv"],
+        ["symmetry", "--family", "gamma_sph", "--format", "tsv"],
+    ],
+)
+def test_invalid_values_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_tol_replaces_every_tolerance(monkeypatch):
+    # spoil the extraction so that only its record fails at its own tolerance
+    def shifted(flow, point):
+        u, v = flow.vector_field().eval_field(point)
+        return (u + 1e-3, v)
+
+    monkeypatch.setattr(flows, "extract_vector_field", shifted)
+    argv = ["verify-pde", "--family", "parabolic", "--samples", "5"]
+    assert run_cli(argv)[0] == 1
+    assert run_cli(argv + ["--tol", "10"])[0] == 0
+    assert run_cli(argv + ["--tol", "-1"])[0] == 1
 
 
 def test_out_file(tmp_path):

@@ -10,9 +10,11 @@ from superflows.flows import (
     ClosedFormFlow,
     OrbitFunction,
     catalog,
+    check_orbits,
+    check_pde,
+    check_translation,
     conjugate_flow_numeric,
     extract_vector_field,
-    flow_eval,
     integrate_trajectory,
     nonalgebraic_field,
     orbit_residual,
@@ -21,15 +23,16 @@ from superflows.flows import (
     verify_translation,
 )
 from superflows.homog import RatVF
+from superflows.symmetry import check_family_draws
 
 
 def test_parabolic_direct_substitution():
-    assert flow_eval(ClosedFormFlow("parabolic"), (1, 1), 1) == (2, 1)
+    assert ClosedFormFlow("parabolic").eval((1, 1), 1) == (2, 1)
 
 
 def test_radical_x_scalar_value():
     # independent evaluation of the k = 1 radicand: (1 + 0.1)^(1/3)
-    u, v = flow_eval(ClosedFormFlow("radical_x", 1), (1, 1), 0.1)
+    u, v = ClosedFormFlow("radical_x", 1).eval((1, 1), 0.1)
     assert abs(u - 1.1 ** (1.0 / 3.0)) < 1e-14
     assert v == 1
 
@@ -300,3 +303,30 @@ def test_record_serialization():
     payload = record.as_dict()
     assert set(payload) == {"flow", "check", "n_samples", "max_residual", "worst_sample"}
     assert payload["n_samples"] == 1
+
+
+def test_check_layer_tolerance_table():
+    # each check function once per subject, at the acceptance tolerances
+    rng = random.Random(24)
+    want = {}
+    records = []
+    for flow in catalog():
+        records.append(check_translation(flow, rng, 5))
+        want[flow.label, "translation"] = (
+            1e-10 if flow.family in ("parabolic", "level0") else 1e-9
+        )
+    flow = ClosedFormFlow("radical_y", 1)
+    records += check_pde(flow, rng, 5)
+    want[flow.label, "pde"], want[flow.label, "vector_field_extraction"] = 1e-6, 1e-7
+    records += check_orbits(rng, 5, 50)
+    for kind, drift_tol in (
+        ("coordinate_y", 1e-9), ("coordinate_x", 1e-9), ("nonalgebraic_example", 1e-6)
+    ):
+        want[kind, "orbit_conservation"], want[kind, "orbit_ode"] = drift_tol, 1e-6
+    samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(20)]
+    records.append(check_family_draws(flow, samples, rng, 3))
+    want[flow.label, "symmetry"] = 1e-8
+    assert {(r.flow, r.check): r.tol for r in records} == want
+    assert len(records) == len(want)
+    for r in records:
+        assert r.passed == (r.max_residual <= r.tol), r
