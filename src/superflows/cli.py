@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import replace
@@ -35,6 +36,17 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for --tol: a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 _m_value = _int_at_least(3)
 
 
@@ -49,11 +61,11 @@ def _m_range(text: str) -> tuple[int, int]:
 
 
 def _make_flow(family: str, args) -> flows.ClosedFormFlow:
-    if family not in ("radical_x", "radical_y"):
-        return flows.ClosedFormFlow(family)
-    if args.k is None:
-        raise argparse.ArgumentError(None, f"--k is required for --family {args.family}")
-    return flows.ClosedFormFlow(family, args.k)
+    radical = family in ("radical_x", "radical_y")
+    if radical == (args.k is None):
+        rule = "is required for" if radical else "does not apply to"
+        raise argparse.ArgumentError(None, f"--k {rule} --family {args.family}")
+    return flows.ClosedFormFlow(family, args.k or 0)
 
 
 def _emit(lines, args):
@@ -218,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--samples", type=positive, default=100)
         p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="tolerance for every check, replacing each one's own")
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")

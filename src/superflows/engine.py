@@ -1,28 +1,37 @@
-"""Decision procedure for superflows of diagonal (and conjugated) groups.
+"""Decision procedure for superflows of monomial groups.
 
 A vector field is a superflow candidate for a group G when it is invariant
 under conjugation by every element of G and, among invariant fields, its
 common-denominator degree is minimal and the invariant space at that degree
-is one-dimensional.  The engine scans denominator degrees upward, computes
-the exact invariant space at each degree, and stops at the first nonzero
-space.
+is one-dimensional.  The engine scans denominator degrees upward and stops
+at the first degree with invariant fields.
 
-For a diagonal group the conjugate of a monomial basis field is the same
-monomial times a character value, so the group average keeps the monomial
-exactly when the character is trivial on every generator and kills it
-otherwise (orthogonality of characters on a finite abelian group).  That
-fast path decides membership with a couple of exact root-of-unity powers;
-the generic Reynolds-averaging path is kept alongside and the two are
-cross-checked in the test suite.
+The groups here are generated by diagonal and antidiagonal matrices.  Every
+diagonal element is diag(zeta_n^s, zeta_n^t) with n = lcm(2, conductor), and
+it multiplies the Laurent monomial field x^a y^(2-a) by zeta_n to an integer
+linear form in a: (a-1)s + (2-a)t in the first component, as + (1-a)t in the
+second.  A monomial survives when that form is 0 mod n for every diagonal
+element, so the scan is integer arithmetic on the discrete logs (s, t).
+Denominator degree D holds the exponents a = -D and a = D+2 (a = 0, 1, 2 at
+D = 0), so degrees 0..ceil(n/2) cover every residue of a mod n: a "none"
+after that scan is a proof, and a scan that the caller's bound cut short
+says so.  When the group also holds an antidiagonal w, its invariant fields
+are spanned by m + w.m over the monomials m that survive the diagonal
+subgroup.
+
+The generic scan by Reynolds averaging (method "reynolds") shares none of
+this and is kept as the independent oracle of the tests and the benchmark.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum, root_of_unity
 from .homog import RatVF, HomPoly, monomial_field, reynolds_average
-from .matgroup import FiniteMatrixGroup, Mat2, alpha_group
+from .matgroup import FiniteMatrixGroup, alpha_group
 
 __all__ = [
     "SuperflowVerdict",
@@ -75,14 +84,6 @@ def character_sum_bruteforce(m: int, i: int, ell: int, component: str) -> CycNum
     return total
 
 
-def _survival_scalar(g: Mat2, component: int, i: int, lx: int, ly: int, deg: int) -> CycNum:
-    """Character value picked up by one monomial basis field under conjugation by g."""
-    a, d = g.a, g.d
-    if component == 0:
-        return (a ** (i - lx - 1)) * (d ** (deg - i - ly))
-    return (a ** (i - lx)) * (d ** (deg - i - ly - 1))
-
-
 def _require_monomial_preserving(group: FiniteMatrixGroup) -> None:
     for g in group.generators:
         if not (g.is_diagonal() or g.is_antidiagonal()):
@@ -90,6 +91,66 @@ def _require_monomial_preserving(group: FiniteMatrixGroup) -> None:
                 "only groups generated by diagonal or antidiagonal matrices "
                 "preserve monomial denominators"
             )
+
+
+def _discrete_log(u: CycNum, n: int) -> int:
+    """The k with u == zeta_n^k: guessed from the embedding, confirmed exactly."""
+    k = round(cmath.phase(u.embed()) * n / math.tau) % n
+    if root_of_unity(n, k) != u:
+        raise ValueError(f"{u.to_text()} is not a power of zeta_{n}")
+    return k
+
+
+class _Characters:
+    """The integer data of the character scan for one monomial group.
+
+    n = lcm(2, conductor) is the order of the roots of unity in the group's
+    field; `logs` holds (s, t) with diag(zeta_n^s, zeta_n^t) for the
+    diagonal generators, or for every diagonal element when some generator
+    is antidiagonal, and `swap` is then one antidiagonal generator.
+    """
+
+    def __init__(self, group: FiniteMatrixGroup):
+        self.n = math.lcm(2, group.conductor)
+        swaps = [g for g in group.generators if g.is_antidiagonal()]
+        self.swap = swaps[0] if swaps else None
+        diagonal = group.elements if swaps else group.generators
+        self.logs = [
+            (_discrete_log(g.a, self.n), _discrete_log(g.d, self.n))
+            for g in diagonal
+            if g.is_diagonal()
+        ]
+
+    def survives(self, component: int, a: int) -> bool:
+        """Whether x^a y^(2-a) in `component` is fixed by every diagonal element."""
+        n = self.n
+        if component == 0:
+            return all(((a - 1) * s + (2 - a) * t) % n == 0 for s, t in self.logs)
+        return all((a * s + (1 - a) * t) % n == 0 for s, t in self.logs)
+
+    def basis(self, survivors: list[RatVF]) -> list[RatVF]:
+        """Basis of the invariant fields spanned by the surviving monomials."""
+        if self.swap is not None:
+            survivors = [f + f.conjugate(self.swap) for f in survivors]
+        return _eliminate(survivors)
+
+    def degree_basis(self, deg: int) -> list[RatVF]:
+        """Basis of the invariant fields whose monomials have denominator degree deg."""
+        exponents = (0, 1, 2) if deg == 0 else (-deg, deg + 2)
+        return self.basis(
+            [
+                _laurent_monomial(component, a)
+                for component in (0, 1)
+                for a in exponents
+                if self.survives(component, a)
+            ]
+        )
+
+
+def _laurent_monomial(component: int, a: int) -> RatVF:
+    """x^a y^(2-a) in one component, over its minimal monomial denominator."""
+    lx, ly = max(-a, 0), max(a - 2, 0)
+    return monomial_field(component, a + lx, lx, ly)
 
 
 def _eliminate(fields: list[RatVF]) -> list[RatVF]:
@@ -138,39 +199,36 @@ def _eliminate(fields: list[RatVF]) -> list[RatVF]:
 def invariant_space(
     group: FiniteMatrixGroup, lx: int, ly: int, method: str = "auto"
 ) -> list[RatVF]:
-    """Exact basis of the G-invariant fields with denominator x^lx y^ly.
+    """Exact basis of the group averages of the monomial fields over x^lx y^ly.
 
-    method "character" uses the per-monomial character test (diagonal groups
-    only); "reynolds" averages every monomial basis field over the group;
-    "auto" picks the character path when available.
+    For a diagonal group that is the space of invariant fields with that
+    denominator.  method "character" (or "auto") keeps the monomials that
+    pass the integer character test and, when the group has an antidiagonal
+    element w, pairs each survivor m with w.m; "reynolds" averages every
+    monomial field over the whole group.
     """
     _require_monomial_preserving(group)
     if lx < 0 or ly < 0:
         raise ValueError("denominator exponents must be non-negative")
     deg = lx + ly + 2
-    if method == "auto":
-        method = "character" if group.is_diagonal() else "reynolds"
-    found: list[RatVF] = []
-    if method == "character":
-        if not group.is_diagonal():
-            raise ValueError("character method needs a diagonal group")
-        one = CycNum.one()
-        for component in (0, 1):
-            for i in range(deg + 1):
-                if all(
-                    _survival_scalar(g, component, i, lx, ly, deg) == one
-                    for g in group.generators
-                ):
-                    found.append(monomial_field(component, i, lx, ly))
-    elif method == "reynolds":
-        for component in (0, 1):
-            for i in range(deg + 1):
-                avg = reynolds_average(group, monomial_field(component, i, lx, ly))
-                if not avg.is_zero:
-                    found.append(avg)
-    else:
+    if method in ("auto", "character"):
+        chars = _Characters(group)
+        return chars.basis(
+            [
+                monomial_field(component, i, lx, ly)
+                for component in (0, 1)
+                for i in range(deg + 1)
+                if chars.survives(component, i - lx)
+            ]
+        )
+    if method != "reynolds":
         raise ValueError(f"unknown method {method!r}")
-    return _eliminate(found)
+    averages = [
+        reynolds_average(group, monomial_field(component, i, lx, ly))
+        for component in (0, 1)
+        for i in range(deg + 1)
+    ]
+    return _eliminate(averages)
 
 
 @dataclass(frozen=True)
@@ -180,7 +238,10 @@ class SuperflowVerdict:
     status "superflow" means the first denominator degree with invariant
     fields carries a one-dimensional space (field holds its canonical
     generator); "not_unique" means that space has dimension >= 2; "none"
-    means every degree up to the bound came back zero.
+    means no degree has invariant fields.  A "none" is proved by -I in the
+    group (shortcut_used) or by a scan over one period of monomials; when
+    the caller's bound stopped the scan earlier, scan_bound is the last
+    degree scanned and the "none" holds only up to it.
     """
 
     status: str
@@ -188,6 +249,7 @@ class SuperflowVerdict:
     denom_degree: int | None
     dimension: int
     shortcut_used: bool = False
+    scan_bound: int | None = None
 
     def describe(self) -> str:
         if self.status == "superflow":
@@ -199,6 +261,8 @@ class SuperflowVerdict:
                 f"not unique: {self.dimension}-dimensional invariant space at "
                 f"denom degree {self.denom_degree}"
             )
+        if self.scan_bound is not None:
+            return f"none up to denom degree {self.scan_bound}"
         via = "minus-identity shortcut" if self.shortcut_used else "degree scan"
         return f"none ({via})"
 
@@ -211,28 +275,37 @@ def find_superflow(
 ) -> SuperflowVerdict:
     """Scan denominator degrees upward and report the first nonzero space.
 
-    At each degree the spaces over all monomial denominators x^l y^(deg-l)
-    are merged before the dimension count, since the uniqueness comparison
-    is between fields, not denominators.  When -I belongs to the group,
-    conjugation negates every 2-homogeneous field, so the verdict is "none"
-    without scanning; pass minus_i_shortcut=False to force the scan (the two
-    must agree).
+    The scan ends at degree ceil(n/2), n = lcm(2, conductor), where every
+    residue of the monomial exponent has been seen, or earlier at
+    max_denom_degree.  When -I belongs to the group, conjugation negates
+    every 2-homogeneous field, so the verdict is "none" without scanning;
+    pass minus_i_shortcut=False to force the scan (the two must agree).
+    method "auto" and "character" scan with integer characters; "reynolds"
+    merges the averaged spaces over every denominator x^l y^(deg-l) at each
+    degree, the independent oracle.
     """
     _require_monomial_preserving(group)
-    if max_denom_degree is None:
-        max_denom_degree = group.order
     if minus_i_shortcut and group.has_minus_identity():
         return SuperflowVerdict("none", None, None, 0, shortcut_used=True)
-    for deg in range(max_denom_degree + 1):
-        collected: list[RatVF] = []
-        for lx in range(deg + 1):
-            collected.extend(invariant_space(group, lx, deg - lx, method=method))
-        basis = _eliminate(collected)
+    period_degree = math.lcm(2, group.conductor) // 2
+    last = period_degree if max_denom_degree is None else min(max_denom_degree, period_degree)
+    if method in ("auto", "character"):
+        space_at = _Characters(group).degree_basis
+    elif method == "reynolds":
+        def space_at(deg):
+            return _eliminate(
+                [f for lx in range(deg + 1) for f in invariant_space(group, lx, deg - lx, method)]
+            )
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    for deg in range(last + 1):
+        basis = space_at(deg)
         if basis:
             if len(basis) == 1:
                 return SuperflowVerdict("superflow", basis[0], deg, 1)
             return SuperflowVerdict("not_unique", None, deg, len(basis))
-    return SuperflowVerdict("none", None, None, 0)
+    bound = last if last < period_degree else None
+    return SuperflowVerdict("none", None, None, 0, scan_bound=bound)
 
 
 @dataclass(frozen=True)

@@ -139,12 +139,6 @@ class Mat2:
             (self.c.embed(), self.d.embed()),
         )
 
-    def apply(self, point):
-        """Numeric action on a 2-vector of complex numbers."""
-        x, y = point
-        (a, b), (c, d) = self.embed()
-        return (a * x + b * y, c * x + d * y)
-
     def to_text(self) -> str:
         return "[[{}, {}], [{}, {}]]".format(*(e.to_text() for e in self.entries()))
 

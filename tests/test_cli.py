@@ -62,6 +62,21 @@ def test_solve_text():
     assert "|G| = 14" in out
 
 
+def test_solve_bounded_none_names_its_bound():
+    # m = 5 has a superflow at degree 1; a scan stopped at 0 must not look like a proof
+    code, out = run_cli(["solve", "--m", "5", "--max-degree", "0"])
+    assert code == 0
+    assert out == "none up to denom degree 0, |G| = 10\n"
+    code, out = run_cli(["solve", "--m", "5", "--max-degree", "0", "--format", "json"])
+    assert json.loads(out) == {
+        "m": 5, "group_order": 10, "status": "none", "denom_degree": None,
+        "dimension": 0, "field": None,
+    }
+    assert run_cli(["solve", "--m", "8", "--max-degree", "0"])[1] == (
+        "none (minus-identity shortcut), |G| = 8\n"
+    )
+
+
 def test_verify_flow_exit_and_seed():
     code, out = run_cli(["verify-flow", "--family", "parabolic", "--samples", "100", "--seed", "1"])
     assert code == 0
@@ -150,6 +165,13 @@ def test_engine_error_surfaces_with_context(capsys):
         ["verify-pde", "--family", "parabolic", "--format", "tsv"],
         ["orbits", "--format", "tsv"],
         ["symmetry", "--family", "gamma_sph", "--format", "tsv"],
+        ["verify-flow", "--family", "parabolic", "--tol", "nan"],
+        ["verify-flow", "--family", "parabolic", "--tol", "-1"],
+        ["verify-pde", "--family", "parabolic", "--tol", "inf"],
+        ["orbits", "--tol", "0"],
+        ["verify-flow", "--family", "parabolic", "--k", "2"],
+        ["verify-pde", "--family", "sph_inf", "--k", "1"],
+        ["symmetry", "--family", "delta_tilde", "--k", "2"],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, capsys):
@@ -169,7 +191,7 @@ def test_tol_replaces_every_tolerance(monkeypatch):
     argv = ["verify-pde", "--family", "parabolic", "--samples", "5"]
     assert run_cli(argv)[0] == 1
     assert run_cli(argv + ["--tol", "10"])[0] == 0
-    assert run_cli(argv + ["--tol", "-1"])[0] == 1
+    assert run_cli(argv + ["--tol", "1e-4"])[0] == 1
 
 
 def test_out_file(tmp_path):

@@ -14,7 +14,7 @@ from superflows.engine import (
     monomial_survival,
 )
 from superflows.homog import monomial_field
-from superflows.matgroup import Mat2, alpha_group, generate_group, tau
+from superflows.matgroup import FiniteMatrixGroup, Mat2, alpha_group, generate_group, tau
 
 
 def float_character_sum(m, i, ell, component):
@@ -167,9 +167,10 @@ def test_verdict_invariant_under_tau_conjugation():
         assert b.field == a.field.conjugate(tau()).normalized()
 
 
-def test_antidiagonal_group_uses_reynolds_path():
-    # <tau> contains an antidiagonal element, so the scan runs on plain
-    # averaging; swap-invariant polynomial fields form a 3-dim space
+def test_antidiagonal_group_pairs_monomials_under_the_swap():
+    # <tau> contains an antidiagonal element, so each surviving monomial is
+    # paired with its swap image; swap-invariant polynomial fields form a
+    # 3-dim space
     group = generate_group([tau()])
     verdict = find_superflow(group, 2)
     assert verdict.status == "not_unique"
@@ -178,6 +179,112 @@ def test_antidiagonal_group_uses_reynolds_path():
     space = invariant_space(group, 0, 0)
     for field in space:
         assert field.conjugate(tau()) == field
+
+
+def _verdict_key(verdict):
+    return (verdict.status, verdict.denom_degree, verdict.dimension, verdict.field)
+
+
+def _assert_matches_oracle(group):
+    """The character scan against the Reynolds-averaging scan, which shares none of its code."""
+    fast = find_superflow(group)
+    slow = find_superflow(group, method="reynolds")
+    assert _verdict_key(fast) == _verdict_key(slow)
+    assert fast.shortcut_used == slow.shortcut_used
+    assert fast.scan_bound is None and slow.scan_bound is None
+    return fast
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_character_scan_matches_oracle_on_alpha_groups(m):
+    # the oracle scans in full; with the -I shortcut the character scan must
+    # still reach the same verdict, and the shortcut fires exactly on -I
+    group = alpha_group(m)
+    oracle = find_superflow(group, method="reynolds", minus_i_shortcut=False)
+    for shortcut in (False, True):
+        fast = find_superflow(group, minus_i_shortcut=shortcut)
+        assert _verdict_key(fast) == _verdict_key(oracle)
+        assert fast.shortcut_used == (shortcut and m % 4 == 0)
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_character_scan_matches_oracle_on_tau_conjugates(m):
+    _assert_matches_oracle(alpha_group(m).conjugated_by(tau()))
+
+
+def _diag(*entries):
+    return Mat2.diagonal(*(root_of_unity(n, k) for n, k in entries))
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        [_diag((5, 1), (5, 4))],  # diag(zeta, zeta^-1): not unique
+        [_diag((7, 1), (7, 6))],
+        [_diag((3, 1), (1, 0)), _diag((1, 0), (2, 1))],
+        [_diag((2, 1), (1, 0)), _diag((1, 0), (3, 1))],
+        [_diag((5, 1), (5, 3)), _diag((5, 2), (5, 1))],
+        [_diag((3, 1), (3, 1)), _diag((1, 0), (2, 1))],  # none without -I
+        [_diag((2, 1), (5, 4))],  # first invariants at degree 3, near n/2 = 5
+        [tau()],
+        [_diag((3, 1), (3, 2)), tau()],  # dihedral
+        [_diag((5, 1), (5, 4)), tau()],
+        [Mat2(0, 1, root_of_unity(3), 0)],  # monomial, no -I, no invariant field
+    ],
+)
+def test_character_scan_matches_oracle_on_monomial_groups(generators):
+    _assert_matches_oracle(generate_group(generators))
+
+
+def test_invariant_space_character_matches_oracle_with_antidiagonals():
+    for generators in ([tau()], [_diag((5, 1), (5, 4)), tau()],
+                       [Mat2(0, 1, root_of_unity(3), 0)]):
+        group = generate_group(generators)
+        for lx, ly in ((0, 0), (1, 0), (0, 2), (1, 1)):
+            fast = invariant_space(group, lx, ly, method="character")
+            assert fast == invariant_space(group, lx, ly, method="reynolds")
+            assert all(f.conjugate(g) == f for f in fast for g in group)
+
+
+def test_readme_closed_forms_up_to_60():
+    verdicts = {m: find_superflow(alpha_group(m)) for m in range(3, 61)}
+    for m, verdict in verdicts.items():
+        k = m // 4
+        if m % 4 == 0:
+            assert verdict.status == "none" and verdict.shortcut_used
+            continue
+        assert verdict.status == "superflow"
+        if m % 4 == 3:
+            assert verdict.denom_degree == 2 * k
+            assert verdict.field == monomial_field(0, 0, 2 * k, 0)
+        elif m % 4 == 1:
+            assert verdict.denom_degree == 2 * k - 1
+            assert verdict.field == monomial_field(1, 2 * k + 1, 0, 2 * k - 1)
+        else:
+            odd = verdicts[m // 2]
+            assert verdict.denom_degree == odd.denom_degree
+            assert verdict.field == odd.field.conjugate(tau()).normalized()
+
+
+def test_none_is_a_proof_only_after_a_full_period():
+    # m = 5 has its superflow at degree 1, so a scan bounded at 0 says so
+    bounded = find_superflow(alpha_group(5), max_denom_degree=0)
+    assert bounded.status == "none" and bounded.scan_bound == 0
+    assert bounded.describe() == "none up to denom degree 0"
+    # <[[0, 1], [zeta_3, 0]]> holds zeta_3*I, which kills every field
+    group = generate_group([Mat2(0, 1, root_of_unity(3), 0)])
+    assert not group.has_minus_identity()
+    for bound in (None, 3, 10):
+        proved = find_superflow(group, max_denom_degree=bound)
+        assert proved.status == "none" and proved.scan_bound is None
+        assert proved.describe() == "none (degree scan)"
+    assert find_superflow(group, max_denom_degree=2).scan_bound == 2
+
+
+def test_diagonal_entry_must_be_a_root_of_unity():
+    fake = FiniteMatrixGroup([Mat2.diagonal(2, 1)], [Mat2.identity(), Mat2.diagonal(2, 1)], 1)
+    with pytest.raises(ValueError, match="not a power of zeta_2"):
+        find_superflow(fake)
 
 
 def test_rejects_non_monomial_preserving_groups():
