@@ -7,8 +7,14 @@ representation is canonical: two CycNum of the same order are equal exactly
 when their coefficient vectors are equal.  Arithmetic between elements of
 different orders lifts both operands into Q(zeta_lcm) first.
 
-Coefficients are arbitrary-precision rationals (fractions.Fraction), so
-cancellation of root-of-unity sums is exact, never a floating-point call.
+The coordinates are stored as integer numerators over one shared positive
+denominator (the layout of FLINT's fmpq_poly), kept canonical with
+gcd(den, *num) == 1, so equality is a tuple comparison and cancellation of
+root-of-unity sums is exact, never a floating-point call.  A product is an
+integer convolution folded back through a per-conductor table of z^e mod
+Phi_N.  An element of modulus one, every root of unity among them, is
+inverted by complex conjugation, confirmed by one exact product; any other
+element through its norm, the product of its Galois conjugates.
 """
 
 from __future__ import annotations
@@ -84,60 +90,56 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def _power_table(n: int) -> tuple:
+    """Coordinates of z^e modulo Phi_n for 0 <= e < n, built upward from z^(e-1)."""
+    deg = euler_phi(n)
+    phi = cyclotomic_polynomial(n)
+    rows = [tuple(int(i == e) for i in range(deg)) for e in range(deg)]
+    for _ in range(len(rows), n):
+        prev = rows[-1]
+        out = [0] + list(prev[: deg - 1])
+        top = prev[deg - 1]
+        if top:
+            for i in range(deg):
+                out[i] -= top * phi[i]
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
 def _reduced_power(n: int, e: int) -> tuple[int, ...]:
     """Coordinates of z^e modulo Phi_n for 0 <= e < n (integer vector)."""
+    return _power_table(n)[e]
+
+
+@lru_cache(maxsize=None)
+def _fold_table(n: int) -> tuple:
+    """Sparse rows (j, r) of z^e mod Phi_n for phi(n) <= e < 2*phi(n) - 1."""
     deg = euler_phi(n)
-    if e < deg:
-        vec = [0] * deg
-        vec[e] = 1
-        return tuple(vec)
-    phi = cyclotomic_polynomial(n)
-    prev = _reduced_power(n, e - 1)
-    out = [0] + list(prev[: deg - 1])
-    top = prev[deg - 1]
-    if top:
-        for i in range(deg):
-            out[i] -= top * phi[i]
+    return tuple(
+        tuple((j, r) for j, r in enumerate(_reduced_power(n, e % n)) if r)
+        for e in range(deg, 2 * deg - 1)
+    )
+
+
+def _power_map(num, n: int, k: int) -> tuple:
+    """Integer coordinates at order n of sum num[i] * z^(i*k), z = zeta_n."""
+    out = [0] * euler_phi(n)
+    for i, c in enumerate(num):
+        if c:
+            for j, r in enumerate(_reduced_power(n, (i * k) % n)):
+                if r:
+                    out[j] += c * r
     return tuple(out)
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [(_ZERO + (a[i] if i < len(a) else 0)) - (b[i] if i < len(b) else 0) for i in range(n)]
-    return _poly_trim(out)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    if len(a) < len(b):
-        return [], _poly_trim(a)
-    inv_lead = 1 / b[-1]
-    quot = [_ZERO] * (len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead
-        if c:
-            quot[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return quot, _poly_trim(a)
+def _canonical(order: int, num, den: int) -> "CycNum":
+    """The CycNum num/den (den > 0), with the common factor of num and den removed."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+    return CycNum._raw(order, tuple(num), den)
 
 
 class CycNum:
@@ -145,37 +147,49 @@ class CycNum:
 
     Values are immutable; every operation returns a fresh instance.  The
     `order` is the label N of the ambient field, not the conductor of the
-    element itself (a rational number can carry any order).
+    element itself (a rational number can carry any order).  The rational
+    coordinates are `coeffs`; they are stored as integer numerators `_num`
+    over one positive denominator `_den` with gcd(_den, *_num) == 1.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "_num", "_den")
 
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise ValueError("order must be a positive integer")
         deg = euler_phi(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) != deg:
             raise ValueError(f"expected {deg} coordinates for order {order}, got {len(coeffs)}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        _set_order(self, order)
+        _set_num(self, tuple(c.numerator * (den // c.denominator) for c in coeffs))
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CycNum is immutable")
 
     @staticmethod
-    def _raw(order: int, coeffs: tuple) -> "CycNum":
+    def _raw(order: int, num: tuple, den: int) -> "CycNum":
         obj = object.__new__(CycNum)
-        object.__setattr__(obj, "order", order)
-        object.__setattr__(obj, "coeffs", coeffs)
+        _set_order(obj, order)
+        _set_num(obj, num)
+        _set_den(obj, den)
         return obj
+
+    @property
+    def coeffs(self) -> tuple:
+        """The rational coordinates, as a tuple of Fractions."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._num)
 
     @staticmethod
     def rational(value, order: int = 1) -> "CycNum":
-        deg = euler_phi(order)
-        vec = [_ZERO] * deg
-        vec[0] = Fraction(value)
-        return CycNum._raw(order, tuple(vec))
+        if not isinstance(value, int):
+            value = Fraction(value)
+        num = [0] * euler_phi(order)
+        num[0] = value.numerator
+        return CycNum._raw(order, tuple(num), value.denominator)
 
     @staticmethod
     def zero(order: int = 1) -> "CycNum":
@@ -188,49 +202,45 @@ class CycNum:
     @staticmethod
     def from_powers(order: int, powers: dict) -> "CycNum":
         """Build sum of c * z^e from an {exponent: coefficient} mapping."""
-        deg = euler_phi(order)
-        out = [_ZERO] * deg
-        for e, c in powers.items():
-            c = Fraction(c)
-            if not c:
-                continue
-            red = _reduced_power(order, e % order)
-            for j, r in enumerate(red):
-                if r:
-                    out[j] += c * r
-        return CycNum._raw(order, tuple(out))
+        terms = [(e, Fraction(c)) for e, c in powers.items()]
+        den = math.lcm(*(c.denominator for _, c in terms))
+        out = [0] * euler_phi(order)
+        for e, c in terms:
+            if c:
+                scaled = c.numerator * (den // c.denominator)
+                for j, r in enumerate(_reduced_power(order, e % order)):
+                    if r:
+                        out[j] += scaled * r
+        return _canonical(order, out, den)
 
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self._num)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.coeffs[0]
+        return Fraction(self._num[0], self._den)
 
     def lift(self, order: int) -> "CycNum":
-        """Re-express this element inside Q(zeta_order); order must be a multiple."""
+        """Re-express this element inside Q(zeta_order); order must be a multiple.
+
+        The power basis of Q(zeta_N) is an integral basis, so an integer
+        vector lifts to an integer vector without a new common factor and
+        the denominator carries over unchanged.
+        """
         if order == self.order:
             return self
         if order % self.order:
             raise ValueError(f"cannot lift order {self.order} into order {order}")
-        k = order // self.order
-        out = [_ZERO] * euler_phi(order)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                red = _reduced_power(order, (i * k) % order)
-                for j, r in enumerate(red):
-                    if r:
-                        out[j] += c * r
-        return CycNum._raw(order, tuple(out))
+        return CycNum._raw(order, _power_map(self._num, order, order // self.order), self._den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -249,16 +259,25 @@ class CycNum:
         return self.lift(n), other.lift(n)
 
     def __add__(self, other):
-        other = CycNum._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._common(other)
-        return CycNum._raw(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if other.__class__ is not CycNum:
+            other = CycNum._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = (self, other) if self.order == other.order else self._common(other)
+        den, bden = a._den, b._den
+        if den == bden:
+            out = [x + y for x, y in zip(a._num, b._num)]
+        else:
+            g = math.gcd(den, bden)
+            ka, kb = bden // g, den // g
+            out = [x * ka + y * kb for x, y in zip(a._num, b._num)]
+            den *= ka
+        return _canonical(a.order, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum._raw(self.order, tuple(-c for c in self.coeffs))
+        return CycNum._raw(self.order, tuple(-x for x in self._num), self._den)
 
     def __sub__(self, other):
         other = CycNum._coerce(other)
@@ -273,48 +292,57 @@ class CycNum:
         return other + (-self)
 
     def __mul__(self, other):
-        other = CycNum._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._common(other)
-        n = a.order
-        deg = len(a.coeffs)
-        prod = [_ZERO] * (2 * deg - 1 if deg else 1)
-        for i, ci in enumerate(a.coeffs):
-            if ci:
-                for j, cj in enumerate(b.coeffs):
-                    if cj:
-                        prod[i + j] += ci * cj
-        out = list(prod[:deg])
-        for e in range(deg, len(prod)):
-            c = prod[e]
+        if other.__class__ is not CycNum:
+            other = CycNum._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = (self, other) if self.order == other.order else self._common(other)
+        x, y = a._num, b._num
+        deg = len(x)
+        y_terms = [(j, c) for j, c in enumerate(y) if c]
+        prod = [0] * (2 * deg - 1)
+        for i, c in enumerate(x):
             if c:
-                red = _reduced_power(n, e % n)
-                for j, r in enumerate(red):
-                    if r:
-                        out[j] += c * r
-        return CycNum._raw(n, tuple(out))
+                for j, d in y_terms:
+                    prod[i + j] += c * d
+        out = prod[:deg]
+        for row, c in zip(_fold_table(a.order), prod[deg:]):
+            if c:
+                for j, r in row:
+                    out[j] += c * r
+        return _canonical(a.order, out, a._den * b._den)
 
     __rmul__ = __mul__
 
+    def _complex_conjugate(self) -> "CycNum":
+        """The image under z -> z^(-1), complex conjugation in Q(zeta_N)."""
+        return CycNum._raw(self.order, _power_map(self._num, self.order, -1), self._den)
+
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Multiplicative inverse.
+
+        A rational inverts its one coordinate.  For u with |u| = 1, every
+        root of unity among them, the inverse is the complex conjugate
+        (u**(lcm(2, N) - 1) when u is a root of unity); a modulus within
+        1e-9 of one only selects that candidate, one exact product u * cand
+        confirms it.  Any other u is inverted through its norm: the product
+        P of its Galois conjugates z -> z^k, 1 < k < N coprime to N, is
+        N(u) / u with N(u) rational, so 1/u = P / N(u).
+        """
         if self.is_zero():
             raise ZeroDivisionError(f"division by zero in Q(zeta_{self.order})")
-        n = self.order
-        r0 = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        r1 = _poly_trim(list(self.coeffs))
-        s0, s1 = [], [_ONE]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        if not r1:
-            raise ArithmeticError("gcd with Phi_N is not constant; Phi_N should be irreducible")
-        c = r1[0]
-        deg = euler_phi(n)
-        out = [x / c for x in s1] + [_ZERO] * (deg - len(s1))
-        return CycNum._raw(n, tuple(out[:deg]))
+        n, num, den = self.order, self._num, self._den
+        if self.is_rational():
+            return CycNum.rational(Fraction(den, num[0]), n)
+        if abs(abs(self.embed()) - 1.0) <= 1e-9:
+            cand = self._complex_conjugate()
+            if self * cand == 1:
+                return cand
+        others = CycNum.one(n)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                others = others * CycNum._raw(n, _power_map(num, n, k), den)
+        return others * CycNum.rational(1 / (self * others).as_fraction(), n)
 
     def __truediv__(self, other):
         other = CycNum._coerce(other)
@@ -349,24 +377,25 @@ class CycNum:
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a._num == b._num and a._den == b._den
 
     # equality lifts across orders, so hashing is unsafe; key() serves maps
     __hash__ = None
 
     def key(self):
         """Hashable identity valid among elements of the same order."""
-        return (self.order, self.coeffs)
+        return (self.order, self._num, self._den)
 
     # -- numerics ----------------------------------------------------------
 
     def embed(self) -> complex:
         """Evaluate in C at zeta_N = exp(2*pi*i/N), double precision."""
-        n = self.order
+        n, den = self.order, self._den
         total = 0j
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._num):
             if c:
-                total += float(c) * cmath.exp(2j * cmath.pi * i / n)
+                # int / int is correctly rounded, the same double as float(Fraction(c, den))
+                total += (c / den) * cmath.exp(2j * cmath.pi * i / n)
         return total
 
     def multiplicative_order(self):
@@ -441,13 +470,19 @@ class CycNum:
                 if i >= deg:
                     raise ValueError(f"exponent {i} is not reduced for order {n}")
                 coeffs[i] += -mag if neg else mag
-        return CycNum._raw(n, tuple(coeffs))
+        return CycNum(n, coeffs)
 
     def __str__(self):
         return self.to_text()
 
     def __repr__(self):
         return f"CycNum({self.to_text()!r})"
+
+
+# slot setters that bypass the immutability guard of CycNum.__setattr__
+_set_order = CycNum.__dict__["order"].__set__
+_set_num = CycNum.__dict__["_num"].__set__
+_set_den = CycNum.__dict__["_den"].__set__
 
 
 def root_of_unity(order: int, power: int = 1) -> CycNum:

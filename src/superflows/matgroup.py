@@ -164,13 +164,15 @@ class FiniteMatrixGroup:
 
     The element list is closed under multiplication and inversion and always
     contains the identity; `order` is the number of distinct elements.  All
-    elements share one conductor, fixed at construction.
+    elements share one conductor, fixed at construction, and membership is a
+    lookup of the matrix key at that conductor.
     """
 
     def __init__(self, generators, elements, conductor):
         self.generators = list(generators)
         self.elements = list(elements)
         self.conductor = conductor
+        self._keys = frozenset(g.lift(conductor).key() for g in self.elements)
 
     @property
     def order(self) -> int:
@@ -185,7 +187,10 @@ class FiniteMatrixGroup:
     def __contains__(self, matrix):
         if not isinstance(matrix, Mat2):
             return False
-        return any(matrix == g for g in self.elements)
+        if self.conductor % matrix.conductor:
+            # entries labelled outside the group's field: compare by lifting
+            return any(matrix == g for g in self.elements)
+        return matrix.lift(self.conductor).key() in self._keys
 
     def has_minus_identity(self) -> bool:
         minus_i = Mat2(-1, 0, 0, -1)

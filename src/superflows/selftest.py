@@ -20,7 +20,7 @@ from . import engine, flows, symmetry
 from .cyclotomic import CycNum, root_of_unity
 from .errors import BranchError
 from .homog import HomPoly, RatVF, monomial_field, reynolds_average
-from .matgroup import Mat2, alpha_group, tau
+from .matgroup import Mat2, alpha_group, generate_group, tau
 
 SEED = 20160808
 
@@ -77,27 +77,37 @@ def _monomial_vf(component, numerator_power, lx, ly) -> RatVF:
 
 
 def criterion_character_sums() -> CriterionResult:
-    """Survival criterion vs the exact cyclotomic brute-force sum, all in range."""
+    """The verdict's survival predicate vs exact group averages, one period.
+
+    `engine._Characters(group).survives` decides every verdict.  For each
+    exponent a in one period of n = lcm(2, conductor), the Reynolds average
+    of the Laurent monomial x^a y^(2-a) over every group element must give
+    the monomial back when the predicate says it survives, and zero
+    otherwise.  Groups: <alpha(m)> for m = 3..13 and one two-generator
+    diagonal group.
+    """
     start = time.time()
+    z3 = root_of_unity(3)
+    groups = [(f"alpha({m})", alpha_group(m)) for m in range(3, 14)]
+    groups.append((
+        "<diag(z3, z3^2), diag(i, 1)>",
+        generate_group([Mat2.diagonal(z3, z3 ** 2), Mat2.diagonal(root_of_unity(4), 1)]),
+    ))
     checked, bad = 0, []
-    for m in (3, 5, 7, 9, 11, 13):
-        if m % 4 == 3:
-            k = (m - 3) // 4
-            i_max, ell_max = 2 * k + 2, 2 * k
-        else:
-            k = (m - 1) // 4
-            i_max, ell_max = 2 * k + 1, 2 * k - 1
-        for i in range(i_max + 1):
-            for ell in range(max(ell_max, 0) + 1):
-                for component in ("first", "second"):
-                    total = engine.character_sum_bruteforce(m, i, ell, component)
-                    survives = engine.monomial_survival(m, i, ell, component)
-                    checked += 1
-                    if survives != (not total.is_zero()):
-                        bad.append((m, i, ell, component))
-                    if survives and total != 2 * m:
-                        bad.append((m, i, ell, component, "value"))
-    detail = f"{checked} sums agree" if not bad else f"disagreements: {bad[:5]}"
+    for label, group in groups:
+        chars = engine._Characters(group)
+        n = chars.n
+        for component in (0, 1):
+            for a in range(1 - n // 2, n // 2 + 1):
+                field = engine._laurent_monomial(component, a)
+                want = field if chars.survives(component, a) else RatVF.zero()
+                checked += 1
+                if reynolds_average(group, field) != want:
+                    bad.append((label, component, a))
+    detail = (
+        f"{checked} monomials agree over {len(groups)} groups"
+        if not bad else f"disagreements: {bad[:5]}"
+    )
     return _result("character_sum_oracle", start, not bad, detail)
 
 

@@ -182,3 +182,11 @@ def test_power_negative_exponent():
     z = root_of_unity(9, 2)
     assert z ** -1 == z.inverse()
     assert z ** -4 == (z ** 4).inverse()
+
+
+def test_power_table_at_large_conductor():
+    # z^e mod Phi_1470 for e up to 1469 lies 1,133 steps above phi(1470) = 336;
+    # the table is built iteratively, so no recursion limit is reached
+    z = root_of_unity(1470)
+    assert z.inverse() == root_of_unity(1470, 1469)
+    assert z * z.inverse() == 1

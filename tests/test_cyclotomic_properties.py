@@ -1,0 +1,167 @@
+"""Property tests of CycNum against the Fraction-coordinate oracle.
+
+Hypothesis runs derandomized, so every run draws the same examples.  Each
+conductor gets its own example budget; mixed-order arithmetic is drawn from
+the small conductors, whose least common multiples stay small.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from fraction_cycnum import FractionCycNum
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from superflows.cyclotomic import CycNum, euler_phi, root_of_unity
+
+CONDUCTORS = [1, 4, 7, 12, 61, 120]
+SMALL = [1, 4, 7, 12]
+
+PROPERTY = settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=20,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@st.composite
+def cycnums(draw, order):
+    """Dense vectors, or short sums of powers of z, over a small denominator."""
+    den = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        nums = draw(st.lists(st.integers(-4, 4), min_size=euler_phi(order), max_size=euler_phi(order)))
+        return CycNum(order, [Fraction(x, den) for x in nums])
+    powers = draw(st.dictionaries(st.integers(0, 3 * order), st.integers(-4, 4), max_size=3))
+    return CycNum.from_powers(order, {e: Fraction(c, den) for e, c in powers.items()})
+
+
+def nonzero(order):
+    return cycnums(order).filter(lambda a: not a.is_zero())
+
+
+def oracle(a: CycNum) -> FractionCycNum:
+    return FractionCycNum(a.order, a.coeffs)
+
+
+def same(a: CycNum, b: FractionCycNum) -> bool:
+    return a.order == b.order and a.coeffs == b.coeffs
+
+
+def canonical(a: CycNum) -> bool:
+    return a._den > 0 and math.gcd(a._den, *a._num) == 1
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+@PROPERTY
+@given(data=st.data())
+def test_field_axioms(n, data):
+    a, b, c = (data.draw(cycnums(n)) for _ in range(3))
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + 0 == a and a * 1 == a and (a - a).is_zero()
+    assert all(canonical(x) for x in (a + b, a * b, a - c, -a))
+    if not a.is_zero():
+        inv = a.inverse()
+        assert a * inv == 1 and canonical(inv)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+@PROPERTY
+@given(data=st.data())
+def test_text_round_trip_and_key(n, data):
+    a, b = data.draw(cycnums(n)), data.draw(cycnums(n))
+    parsed = CycNum.parse(a.to_text())
+    assert parsed == a and parsed.key() == a.key()
+    assert ((a + b) - b).key() == a.key()
+    assert (a.key() == b.key()) == (a == b)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+@PROPERTY
+@given(data=st.data())
+def test_mul_add_agree_with_oracle(n, data):
+    a, b = data.draw(cycnums(n)), data.draw(cycnums(n))
+    assert same(a * b, oracle(a) * oracle(b))
+    assert same(a + b, oracle(a) + oracle(b))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_mixed_orders_agree_with_oracle(data):
+    a = data.draw(cycnums(data.draw(st.sampled_from(SMALL))))
+    b = data.draw(cycnums(data.draw(st.sampled_from(SMALL))))
+    assert same(a * b, oracle(a) * oracle(b))
+    assert same(a + b, oracle(a) + oracle(b))
+    assert (a == b) == (oracle(a) == oracle(b))
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+@PROPERTY
+@given(data=st.data())
+def test_lift_agrees_with_oracle(n, data):
+    a = data.draw(cycnums(n))
+    target = n * data.draw(st.sampled_from((1, 2, 3) if n <= 12 else (1, 2)))
+    lifted = a.lift(target)
+    assert same(lifted, oracle(a).lift(target))
+    assert lifted == a and canonical(lifted)
+    assert abs(lifted.embed() - a.embed()) < 1e-9
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+@PROPERTY
+@given(data=st.data())
+def test_inverse_agrees_with_oracle(n, data):
+    a = data.draw(nonzero(n))
+    inv = a.inverse()
+    if n <= 12:
+        assert same(inv, oracle(a).inverse())
+    else:
+        # the oracle's own product certifies the inverse without its slow Euclid
+        assert oracle(a) * oracle(inv) == FractionCycNum.rational(1)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+@PROPERTY
+@given(data=st.data())
+def test_pow_agrees_with_oracle(n, data):
+    a = data.draw(nonzero(n) if n <= 12 else st.builds(root_of_unity, st.just(n), st.integers(0, n)))
+    e = data.draw(st.integers(-4, 6))
+    assert same(a ** e, oracle(a) ** e)
+
+
+@pytest.mark.parametrize("n", CONDUCTORS)
+@PROPERTY
+@given(data=st.data())
+def test_multiplicative_order_agrees_with_oracle(n, data):
+    sign = data.draw(st.sampled_from((1, -1)))
+    j = data.draw(st.integers(0, n - 1))
+    u = sign * root_of_unity(n, j)
+    # zeta_n^j has order n / gcd(n, j); -zeta_n^j = zeta_2n^(n + 2j)
+    want = n // math.gcd(n, j) if sign == 1 else 2 * n // math.gcd(2 * n, n + 2 * j)
+    assert u.multiplicative_order() == want
+    if n <= 12:
+        a = data.draw(nonzero(n))
+        assert a.multiplicative_order() == oracle(a).multiplicative_order()
+        assert u.multiplicative_order() == oracle(u).multiplicative_order()
+
+
+def test_unit_modulus_non_root_inverse():
+    # (3 + 4i) / 5 has modulus one but is no root of unity
+    u = CycNum(4, [Fraction(3, 5), Fraction(4, 5)])
+    assert abs(abs(u.embed()) - 1) < 1e-15
+    assert u.multiplicative_order() is None
+    assert same(u.inverse(), oracle(u).inverse())
+    assert u.inverse() == CycNum(4, [Fraction(3, 5), Fraction(-4, 5)])
+
+
+def test_inverse_falls_back_when_conjugate_fails():
+    # modulus within 1e-9 of one, so conjugation is tried, but u * conj(u) != 1
+    u = root_of_unity(7, 2) * Fraction(10**12 + 1, 10**12)
+    assert abs(abs(u.embed()) - 1) <= 1e-9
+    assert same(u.inverse(), oracle(u).inverse())
+    assert u * u.inverse() == 1

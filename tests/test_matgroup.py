@@ -61,6 +61,23 @@ def test_group_closure_under_product():
                 assert (g * h) in group
 
 
+def test_membership_by_key_matches_scan():
+    # lookup by key at the group's conductor agrees with element-wise ==,
+    # also for matrices labelled at a divisor or at an unrelated order
+    group = alpha_group(8)
+
+    def minus_identity(order):
+        return Mat2(*(CycNum.rational(c, order) for c in (-1, 0, 0, -1)))
+
+    candidates = [minus_identity(n) for n in (1, 3, 4, 8)]
+    candidates += [Mat2.identity(3), tau(), alpha_matrix(3), alpha_matrix(4)]
+    candidates += list(group) + [g * tau() for g in group] + list(alpha_group(4))
+    for matrix in candidates:
+        assert (matrix in group) == any(matrix == g for g in group.elements)
+    assert all(minus_identity(n) in group for n in (1, 3, 4, 8))
+    assert alpha_matrix(4) not in group and "not a matrix" not in group
+
+
 def test_cap_exceeded_for_infinite_group():
     with pytest.raises(CapExceededError):
         generate_group([Mat2(1, 1, 0, 1)], cap=64)
