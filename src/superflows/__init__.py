@@ -3,7 +3,7 @@
 Layer map, bottom to top:
 
   cyclotomic  exact arithmetic in Q(zeta_N)
-  matgroup    2x2 matrices over those fields, finite group closure
+  matgroup    2x2 matrices over those fields; monomial groups in exponent form
   homog       homogeneous polynomials, rational vector fields, group action
   engine      invariant-field spaces and the superflow decision procedure
   flows       the closed-form flow catalog plus numeric verification
@@ -17,13 +17,13 @@ from .engine import (
     classify_alpha,
     find_superflow,
     invariant_space,
-    monomial_survival,
 )
 from .flows import ClosedFormFlow, OrbitFunction, catalog, nonalgebraic_field
 from .homog import HomPoly, RatVF, monomial_field, reynolds_average
 from .matgroup import (
     FiniteMatrixGroup,
     Mat2,
+    MonomialGroup,
     alpha_group,
     alpha_matrix,
     generate_group,
@@ -45,6 +45,7 @@ __all__ = [
     "root_of_unity",
     "Mat2",
     "FiniteMatrixGroup",
+    "MonomialGroup",
     "generate_group",
     "alpha_matrix",
     "alpha_group",
@@ -55,7 +56,6 @@ __all__ = [
     "monomial_field",
     "reynolds_average",
     "SuperflowVerdict",
-    "monomial_survival",
     "invariant_space",
     "find_superflow",
     "classify_alpha",

@@ -6,18 +6,19 @@ common-denominator degree is minimal and the invariant space at that degree
 is one-dimensional.  The engine scans denominator degrees upward and stops
 at the first degree with invariant fields.
 
-The groups here are generated by diagonal and antidiagonal matrices.  Every
-diagonal element is diag(zeta_n^s, zeta_n^t) with n = lcm(2, conductor), and
-it multiplies the Laurent monomial field x^a y^(2-a) by zeta_n to an integer
-linear form in a: (a-1)s + (2-a)t in the first component, as + (1-a)t in the
-second.  A monomial survives when that form is 0 mod n for every diagonal
-element, so the scan is integer arithmetic on the discrete logs (s, t).
-Denominator degree D holds the exponents a = -D and a = D+2 (a = 0, 1, 2 at
-D = 0), so degrees 0..ceil(n/2) cover every residue of a mod n: a "none"
-after that scan is a proof, and a scan that the caller's bound cut short
-says so.  When the group also holds an antidiagonal w, its invariant fields
-are spanned by m + w.m over the monomials m that survive the diagonal
-subgroup.
+The groups here are monomial, and the scan reads them in the exponent form
+of matgroup.MonomialGroup, n = lcm(2, conductor).  diag(zeta_n^s, zeta_n^t)
+multiplies the Laurent monomial field x^a y^(2-a) by zeta_n to an integer
+linear form in a: (a-1)s + (2-a)t in the first component, as + (1-a)t in
+the second.  A monomial survives when that form is 0 mod n on generators of
+the diagonal subgroup, so the scan is integer arithmetic and builds no
+matrix.  Denominator degree D holds the exponents a = -D and a = D+2
+(a = 0, 1, 2 at D = 0), so degrees 0..ceil(n/2) cover every residue of a
+mod n: a "none" after that scan is a proof, and a scan that the caller's
+bound cut short says so.  An antidiagonal w = [[0, zeta_n^s], [zeta_n^t, 0]]
+maps a monomial m to zeta_n^e x^(2-a) y^a in the other component, e the
+same form at (s, t), and the invariant fields are then spanned by m + w.m
+over the survivors.
 
 The generic scan by Reynolds averaging (method "reynolds") shares none of
 this and is kept as the independent oracle of the tests and the benchmark.
@@ -25,132 +26,83 @@ this and is kept as the independent oracle of the tests and the benchmark.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycNum, root_of_unity
+from .cyclotomic import CycNum
 from .homog import RatVF, HomPoly, monomial_field, reynolds_average
-from .matgroup import FiniteMatrixGroup, alpha_group
+from .matgroup import FiniteMatrixGroup, MonomialGroup, alpha_group
 
 __all__ = [
     "SuperflowVerdict",
     "ClassifyRow",
-    "monomial_survival",
-    "character_sum_bruteforce",
     "invariant_space",
     "find_superflow",
     "classify_alpha",
 ]
 
 
-def monomial_survival(m: int, i: int, ell: int, component: str) -> bool:
-    """Whether the averaging sum over the order-2m cyclic group is nonzero.
-
-    For odd m, the group generated by diag(zeta_m, -zeta_m^(-1)) maps the
-    monomial x^i y^(D-i) over denominator x^ell y^(D-2-ell) to itself times a
-    root of unity, and the sum over the group of those roots is nonzero
-    exactly when the root is 1:
-
-      first component:  i + ell even  and  2i - 2ell - 3 == 0 (mod m)
-      second component: i + ell odd   and  2i - 2ell - 1 == 0 (mod m)
-    """
-    if component == "first":
-        return (i + ell) % 2 == 0 and (2 * i - 2 * ell - 3) % m == 0
-    if component == "second":
-        return (i + ell) % 2 == 1 and (2 * i - 2 * ell - 1) % m == 0
-    raise ValueError("component must be 'first' or 'second'")
+def _exponent_form(group) -> MonomialGroup:
+    """The group as a MonomialGroup; a FiniteMatrixGroup is read from its generators."""
+    if isinstance(group, MonomialGroup):
+        return group
+    return MonomialGroup.from_matrices(group.generators)
 
 
-def character_sum_bruteforce(m: int, i: int, ell: int, component: str) -> CycNum:
-    """The exact cyclotomic sum the survival criterion shortcuts.
-
-    Adds up w^s for s = 0..2m-1 with w = (-1)^(i+ell) zeta_m^(2i-2ell-3)
-    (first component) or w = (-1)^(i+ell+1) zeta_m^(2i-2ell-1) (second),
-    term by term, with no appeal to geometric-series reasoning.
-    """
-    if component == "first":
-        sign_exp, zeta_exp = i + ell, 2 * i - 2 * ell - 3
-    elif component == "second":
-        sign_exp, zeta_exp = i + ell + 1, 2 * i - 2 * ell - 1
-    else:
-        raise ValueError("component must be 'first' or 'second'")
-    w = root_of_unity(2, sign_exp) * root_of_unity(m, zeta_exp)
-    total = CycNum.zero(w.order)
-    term = CycNum.one(w.order)
-    for _ in range(2 * m):
-        total = total + term
-        term = term * w
-    return total
-
-
-def _require_monomial_preserving(group: FiniteMatrixGroup) -> None:
-    for g in group.generators:
-        if not (g.is_diagonal() or g.is_antidiagonal()):
-            raise ValueError(
-                "only groups generated by diagonal or antidiagonal matrices "
-                "preserve monomial denominators"
-            )
-
-
-def _discrete_log(u: CycNum, n: int) -> int:
-    """The k with u == zeta_n^k: guessed from the embedding, confirmed exactly."""
-    k = round(cmath.phase(u.embed()) * n / math.tau) % n
-    if root_of_unity(n, k) != u:
-        raise ValueError(f"{u.to_text()} is not a power of zeta_{n}")
-    return k
+def _exponent(component: int, a: int, s: int, t: int) -> int:
+    """e with diag(zeta^s, zeta^t) taking x^a y^(2-a) in `component` to zeta^e times itself."""
+    return (a - 1) * s + (2 - a) * t if component == 0 else a * s + (1 - a) * t
 
 
 class _Characters:
     """The integer data of the character scan for one monomial group.
 
     n = lcm(2, conductor) is the order of the roots of unity in the group's
-    field; `logs` holds (s, t) with diag(zeta_n^s, zeta_n^t) for the
-    diagonal generators, or for every diagonal element when some generator
-    is antidiagonal, and `swap` is then one antidiagonal generator.
+    field and `logs` holds (s, t) for generators of the diagonal subgroup.
     """
 
-    def __init__(self, group: FiniteMatrixGroup):
-        self.n = math.lcm(2, group.conductor)
-        swaps = [g for g in group.generators if g.is_antidiagonal()]
-        self.swap = swaps[0] if swaps else None
-        diagonal = group.elements if swaps else group.generators
-        self.logs = [
-            (_discrete_log(g.a, self.n), _discrete_log(g.d, self.n))
-            for g in diagonal
-            if g.is_diagonal()
-        ]
+    def __init__(self, group: MonomialGroup):
+        self.group = group
+        self.n = group.n
+        self.logs = group.diagonal_logs()
 
     def survives(self, component: int, a: int) -> bool:
         """Whether x^a y^(2-a) in `component` is fixed by every diagonal element."""
         n = self.n
-        if component == 0:
-            return all(((a - 1) * s + (2 - a) * t) % n == 0 for s, t in self.logs)
-        return all((a * s + (1 - a) * t) % n == 0 for s, t in self.logs)
+        return all(_exponent(component, a, s, t) % n == 0 for s, t in self.logs)
 
-    def basis(self, survivors: list[RatVF]) -> list[RatVF]:
-        """Basis of the invariant fields spanned by the surviving monomials."""
-        if self.swap is not None:
-            survivors = [f + f.conjugate(self.swap) for f in survivors]
-        return _eliminate(survivors)
+    def basis(self, monomials) -> list[RatVF]:
+        """Basis of the invariant fields spanned by the surviving monomials.
+
+        `monomials` yields (component, a, lx, ly): x^a y^(2-a) in `component`,
+        written over x^lx y^ly.  With a swap in the group, each survivor m
+        becomes m + w.m.
+        """
+        swap = self.group.swap
+        fields = []
+        for component, a, lx, ly in monomials:
+            if not self.survives(component, a):
+                continue
+            field = monomial_field(component, a + lx, lx, ly)
+            if swap is not None:
+                image = self.group.root(_exponent(component, a, swap[1], swap[2]))
+                field = field + _laurent_monomial(1 - component, 2 - a, image)
+            fields.append(field)
+        return _eliminate(fields)
 
     def degree_basis(self, deg: int) -> list[RatVF]:
         """Basis of the invariant fields whose monomials have denominator degree deg."""
         exponents = (0, 1, 2) if deg == 0 else (-deg, deg + 2)
         return self.basis(
-            [
-                _laurent_monomial(component, a)
-                for component in (0, 1)
-                for a in exponents
-                if self.survives(component, a)
-            ]
+            (component, a, max(-a, 0), max(a - 2, 0))
+            for component in (0, 1)
+            for a in exponents
         )
 
 
-def _laurent_monomial(component: int, a: int) -> RatVF:
-    """x^a y^(2-a) in one component, over its minimal monomial denominator."""
+def _laurent_monomial(component: int, a: int, coeff=1) -> RatVF:
+    """coeff x^a y^(2-a) in one component, over its minimal monomial denominator."""
     lx, ly = max(-a, 0), max(a - 2, 0)
-    return monomial_field(component, a + lx, lx, ly)
+    return monomial_field(component, a + lx, lx, ly, coeff)
 
 
 def _eliminate(fields: list[RatVF]) -> list[RatVF]:
@@ -207,19 +159,13 @@ def invariant_space(
     element w, pairs each survivor m with w.m; "reynolds" averages every
     monomial field over the whole group.
     """
-    _require_monomial_preserving(group)
+    monomial = _exponent_form(group)
     if lx < 0 or ly < 0:
         raise ValueError("denominator exponents must be non-negative")
     deg = lx + ly + 2
     if method in ("auto", "character"):
-        chars = _Characters(group)
-        return chars.basis(
-            [
-                monomial_field(component, i, lx, ly)
-                for component in (0, 1)
-                for i in range(deg + 1)
-                if chars.survives(component, i - lx)
-            ]
+        return _Characters(monomial).basis(
+            (component, i - lx, lx, ly) for component in (0, 1) for i in range(deg + 1)
         )
     if method != "reynolds":
         raise ValueError(f"unknown method {method!r}")
@@ -284,13 +230,13 @@ def find_superflow(
     merges the averaged spaces over every denominator x^l y^(deg-l) at each
     degree, the independent oracle.
     """
-    _require_monomial_preserving(group)
+    monomial = _exponent_form(group)
     if minus_i_shortcut and group.has_minus_identity():
         return SuperflowVerdict("none", None, None, 0, shortcut_used=True)
-    period_degree = math.lcm(2, group.conductor) // 2
+    period_degree = monomial.n // 2
     last = period_degree if max_denom_degree is None else min(max_denom_degree, period_degree)
     if method in ("auto", "character"):
-        space_at = _Characters(group).degree_basis
+        space_at = _Characters(monomial).degree_basis
     elif method == "reynolds":
         def space_at(deg):
             return _eliminate(

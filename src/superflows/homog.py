@@ -141,20 +141,6 @@ class HomPoly:
                 total = total + (pow1[i] * pow2[deg - i]).scale(u)
         return total
 
-    def evaluate_exact(self, x: CycNum, y: CycNum) -> CycNum:
-        xs = CycNum.one()
-        total = CycNum.zero()
-        xpow = [xs]
-        for _ in range(self.degree):
-            xpow.append(xpow[-1] * x)
-        ypow = [CycNum.one()]
-        for _ in range(self.degree):
-            ypow.append(ypow[-1] * y)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                total = total + c * xpow[i] * ypow[self.degree - i]
-        return total
-
     def embedded_coeffs(self):
         if self._embedded is None:
             object.__setattr__(self, "_embedded", tuple(c.embed() for c in self.coeffs))
@@ -316,11 +302,6 @@ class RatVF:
         if self.is_zero:
             return self
         return self.scale(self.leading_coeff().inverse())
-
-    def proportional_to(self, other: "RatVF") -> bool:
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return self.normalized() == other.normalized()
 
     # -- numerics ----------------------------------------------------------
 

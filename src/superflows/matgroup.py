@@ -1,15 +1,18 @@
-"""2x2 matrices over cyclotomic fields and finite matrix group enumeration.
+"""2x2 matrices over cyclotomic fields and finite matrix groups.
 
 Matrices carry exact CycNum entries, all lifted to one common conductor, so
-deduplication during group closure is exact coefficient comparison, never a
-floating-point hash.  Groups are stored as the deduplicated element list
-produced by breadth-first closure under multiplication; a cap guards against
-accidentally infinite groups.
+deduplication is exact coefficient comparison, never a floating-point hash.
+generate_group closes a FiniteMatrixGroup by matrix products, with a cap
+against infinite groups.  The groups the verdict decides are monomial, and
+MonomialGroup closes them as exponent triples mod n = lcm(2, conductor)
+with integer additions, building a matrix only when one is asked for.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from functools import cached_property
 
 from .cyclotomic import CycNum, root_of_unity
 from .errors import CapExceededError
@@ -17,12 +20,12 @@ from .errors import CapExceededError
 __all__ = [
     "Mat2",
     "FiniteMatrixGroup",
+    "MonomialGroup",
     "generate_group",
     "alpha_matrix",
     "alpha_group",
     "tau",
     "matrix_finite_order",
-    "is_real_conjugate_candidate",
 ]
 
 
@@ -172,17 +175,20 @@ class FiniteMatrixGroup:
         self.generators = list(generators)
         self.elements = list(elements)
         self.conductor = conductor
-        self._keys = frozenset(g.lift(conductor).key() for g in self.elements)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def __len__(self):
-        return len(self.elements)
+        return self.order
 
     def __iter__(self):
         return iter(self.elements)
+
+    @cached_property
+    def _keys(self) -> frozenset:
+        return frozenset(g.lift(self.conductor).key() for g in self.elements)
 
     def __contains__(self, matrix):
         if not isinstance(matrix, Mat2):
@@ -196,23 +202,13 @@ class FiniteMatrixGroup:
         minus_i = Mat2(-1, 0, 0, -1)
         return minus_i in self
 
-    def is_diagonal(self) -> bool:
-        return all(g.is_diagonal() for g in self.generators)
-
     def conjugated_by(self, L: Mat2, cap: int = 10_000) -> "FiniteMatrixGroup":
         """The group L^(-1) G L, regenerated from conjugated generators."""
         linv = L.inverse()
         return generate_group([linv * g * L for g in self.generators], cap=cap)
 
-    def to_dict(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "generators": [[e.to_text() for e in g.entries()] for g in self.generators],
-            "order": self.order,
-        }
-
     def __repr__(self):
-        return f"FiniteMatrixGroup(order={self.order}, conductor={self.conductor})"
+        return f"{type(self).__name__}(order={self.order}, conductor={self.conductor})"
 
 
 def generate_group(generators, cap: int = 10_000) -> FiniteMatrixGroup:
@@ -251,15 +247,140 @@ def generate_group(generators, cap: int = 10_000) -> FiniteMatrixGroup:
     return FiniteMatrixGroup(gens, list(seen.values()), conductor)
 
 
-def alpha_group(m: int, cap: int = 10_000) -> FiniteMatrixGroup:
+def _discrete_log(u: CycNum, n: int) -> int:
+    """The k with u == zeta_n^k: guessed from the embedding, confirmed exactly."""
+    k = round(cmath.phase(u.embed()) * n / math.tau) % n
+    if root_of_unity(n, k) != u:
+        raise ValueError(f"{u.to_text()} is not a power of zeta_{n}")
+    return k
+
+
+def _times(g, h, n: int):
+    """Product of two exponent triples; an antidiagonal left factor swaps h's pair."""
+    kind, s, t = g
+    h_kind, hs, ht = h
+    if kind:
+        hs, ht = ht, hs
+    return (kind ^ h_kind, (s + hs) % n, (t + ht) % n)
+
+
+def _inverse(g, n: int):
+    kind, s, t = g
+    return (1, -t % n, -s % n) if kind else (0, -s % n, -t % n)
+
+
+class MonomialGroup(FiniteMatrixGroup):
+    """A finite group of diagonal and antidiagonal matrices, in exponent form.
+
+    With n = lcm(2, conductor), the triple (0, s, t) is diag(zeta_n^s,
+    zeta_n^t) and (1, s, t) is [[0, zeta_n^s], [zeta_n^t, 0]].  `gens`
+    holds the generators and `triples` the closed element set, both as such
+    triples.  The Mat2 `generators` and `elements` that the FiniteMatrixGroup
+    methods use are written at the group's own conductor on first use.
+    """
+
+    def __init__(self, conductor: int, generators):
+        self.conductor = conductor
+        self.n = n = math.lcm(2, conductor)
+        self.gens = tuple((kind, s % n, t % n) for kind, s, t in generators)
+        if not self.gens:
+            raise ValueError("at least one generator is required")
+        queue = [(0, 0, 0)]
+        seen = set(queue)
+        for g in queue:  # breadth first: the queue grows while it is read
+            for h in self.gens:
+                p = _times(g, h, n)
+                if p not in seen:
+                    seen.add(p)
+                    queue.append(p)
+        self.triples = frozenset(seen)
+
+    @staticmethod
+    def from_matrices(generators) -> "MonomialGroup":
+        """The group generated by diagonal and antidiagonal Mat2s.
+
+        Only the generators are converted, by discrete logs of their entries
+        that are confirmed exactly; the closure is then on exponents.
+        """
+        gens = list(generators)
+        conductor = math.lcm(*(g.conductor for g in gens))
+        n = math.lcm(2, conductor)
+        triples = []
+        for g in gens:
+            kind = int(g.is_antidiagonal())
+            if not (kind or g.is_diagonal()):
+                raise ValueError(
+                    "only groups generated by diagonal or antidiagonal matrices "
+                    "preserve monomial denominators"
+                )
+            u, v = (g.b, g.c) if kind else (g.a, g.d)
+            triples.append((kind, _discrete_log(u, n), _discrete_log(v, n)))
+        return MonomialGroup(conductor, triples)
+
+    @property
+    def order(self) -> int:
+        return len(self.triples)
+
+    def has_minus_identity(self) -> bool:
+        return (0, self.n // 2, self.n // 2) in self.triples
+
+    @property
+    def swap(self):
+        """One antidiagonal generator, or None for a diagonal group."""
+        return next((g for g in self.gens if g[0]), None)
+
+    def diagonal_logs(self) -> list[tuple[int, int]]:
+        """(s, t) of a generating set of the diagonal elements.
+
+        They form a subgroup of index 1 or 2 with coset representatives the
+        identity and `swap`, so by Schreier's lemma r.g.rep(r.g)^(-1) over
+        those r and every generator g generate it.
+        """
+        n, w = self.n, self.swap
+        reps = [(0, 0, 0)] if w is None else [(0, 0, 0), w]
+        logs = {}
+        for r in reps:
+            for g in self.gens:
+                p = _times(r, g, n)
+                _, s, t = _times(p, _inverse(reps[p[0]], n), n)
+                logs[s, t] = None
+        return list(logs)
+
+    def root(self, k: int) -> CycNum:
+        """zeta_n^k at the group's conductor c; for odd c, zeta_2c = -zeta_c^((c+1)/2)."""
+        c = self.conductor
+        if self.n == c:
+            return root_of_unity(c, k)
+        value = root_of_unity(c, k * (c + 1) // 2)
+        return -value if k % 2 else value
+
+    def _matrix(self, triple) -> Mat2:
+        kind, s, t = triple
+        zero = CycNum.zero(self.conductor)
+        if kind:
+            return Mat2(zero, self.root(s), self.root(t), zero)
+        return Mat2(self.root(s), zero, zero, self.root(t))
+
+    @cached_property
+    def generators(self) -> list:
+        return [self._matrix(g) for g in self.gens]
+
+    @cached_property
+    def elements(self) -> list:
+        return [self._matrix(g) for g in self.triples]
+
+
+def alpha_group(m: int) -> MonomialGroup:
     """The cyclic group generated by diag(zeta_m, -zeta_m^(-1)) for m >= 3.
 
-    The order comes out of the closure enumeration (2m for odd m, m for even
-    m); no closed-form order is trusted anywhere.
+    With n = lcm(2, m) the generator is diag(zeta_n^(n/m), zeta_n^(n/2 - n/m)).
+    The order comes out of the closure (2m for odd m, m for even m); no
+    closed-form order is trusted anywhere.
     """
     if m < 3:
         raise ValueError("alpha_group requires m >= 3")
-    return generate_group([alpha_matrix(m)], cap=cap)
+    n = math.lcm(2, m)
+    return MonomialGroup(m, [(0, n // m, n // 2 - n // m)])
 
 
 def matrix_finite_order(matrix: Mat2, bound: int = 10_000):
@@ -273,8 +394,3 @@ def matrix_finite_order(matrix: Mat2, bound: int = 10_000):
             return k
         power = power * matrix
     return None
-
-
-def is_real_conjugate_candidate(matrix: Mat2, tol: float = 1e-12) -> bool:
-    """Whether trace(M) is real; False certifies M is not conjugate into GL(2, R)."""
-    return abs(matrix.trace().embed().imag) <= tol

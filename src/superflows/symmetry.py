@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm, tau
 
 from .cyclotomic import CycNum

@@ -6,7 +6,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from superflows import cli, flows
+from superflows import cli, flows, matgroup
+from superflows.homog import RatVF, monomial_field
 
 
 def run_cli(argv):
@@ -60,6 +61,29 @@ def test_solve_text():
     assert "superflow" in out
     assert "y^4/x^2" in out
     assert "|G| = 14" in out
+
+
+def test_diagonal_verdicts_build_no_matrix(monkeypatch):
+    # alpha groups are closed and scanned in exponent form, with no Mat2 anywhere
+    def refuse(self, *entries):
+        raise AssertionError("a Mat2 was built on the verdict path")
+
+    monkeypatch.setattr(matgroup.Mat2, "__init__", refuse)
+    code, out = run_cli(["solve", "--m", "397"])
+    assert code == 0
+    assert out == "superflow: 0 • x^199/y^197, denom degree 197, |G| = 794\n"
+    code, out = run_cli(["classify", "--m", "3..40"])
+    assert code == 0 and len(out.splitlines()) == 38
+
+
+def test_solve_large_m_gives_the_closed_form():
+    # m = 1001 = 4k+1 with k = 250: README's closed form 0 . x^(2k+1)/y^(2k-1)
+    code, out = run_cli(["solve", "--m", "1001", "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["status"] == "superflow" and payload["group_order"] == 2002
+    assert payload["denom_degree"] == 499
+    assert RatVF.parse(payload["field"]) == monomial_field(1, 501, 0, 499)
 
 
 def test_solve_bounded_none_names_its_bound():

@@ -4,17 +4,19 @@ import cmath
 import random
 
 import pytest
+from monomial_groups import diag, monomial_generators
 
 from superflows.cyclotomic import root_of_unity
-from superflows.engine import (
-    character_sum_bruteforce,
-    classify_alpha,
-    find_superflow,
-    invariant_space,
-    monomial_survival,
-)
+from superflows.engine import _Characters, classify_alpha, find_superflow, invariant_space
 from superflows.homog import monomial_field
-from superflows.matgroup import FiniteMatrixGroup, Mat2, alpha_group, generate_group, tau
+from superflows.matgroup import (
+    FiniteMatrixGroup,
+    Mat2,
+    alpha_group,
+    alpha_matrix,
+    generate_group,
+    tau,
+)
 
 
 def float_character_sum(m, i, ell, component):
@@ -26,11 +28,16 @@ def float_character_sum(m, i, ell, component):
     return sum(w ** s for s in range(2 * m))
 
 
+def _alpha_survives(m, i, ell, component):
+    """Whether x^i y^(D-i) / x^ell y^(D-2-ell) survives <alpha(m)> in the scan's predicate."""
+    return _Characters(alpha_group(m)).survives(("first", "second").index(component), i - ell)
+
+
 def test_survival_known_cases():
-    assert monomial_survival(7, 0, 2, "first") is True
-    assert monomial_survival(7, 2, 2, "first") is False
+    assert _alpha_survives(7, 0, 2, "first") is True
+    assert _alpha_survives(7, 2, 2, "first") is False
     # exponent condition holds but the sign factor kills the second component
-    assert monomial_survival(7, 4, 0, "second") is False
+    assert _alpha_survives(7, 4, 0, "second") is False
 
 
 def test_survival_against_float_oracle():
@@ -40,14 +47,7 @@ def test_survival_against_float_oracle():
             for ell in range(0, m):
                 for component in ("first", "second"):
                     numeric = abs(float_character_sum(m, i, ell, component)) > 1e-6
-                    assert monomial_survival(m, i, ell, component) == numeric
-
-
-def test_bruteforce_sum_exact_values():
-    total = character_sum_bruteforce(7, 0, 2, "first")
-    assert total == 14
-    assert character_sum_bruteforce(7, 2, 2, "first").is_zero()
-    assert character_sum_bruteforce(7, 4, 0, "second").is_zero()
+                    assert _alpha_survives(m, i, ell, component) == numeric
 
 
 def test_invariant_space_trivial_group():
@@ -197,12 +197,14 @@ def _assert_matches_oracle(group):
 
 @pytest.mark.parametrize("m", range(3, 13))
 def test_character_scan_matches_oracle_on_alpha_groups(m):
-    # the oracle scans in full; with the -I shortcut the character scan must
-    # still reach the same verdict, and the shortcut fires exactly on -I
-    group = alpha_group(m)
-    oracle = find_superflow(group, method="reynolds", minus_i_shortcut=False)
+    # the oracle averages over the Mat2 closure and scans in full; with the -I
+    # shortcut the character scan must still reach the same verdict, and the
+    # shortcut fires exactly on -I
+    oracle = find_superflow(
+        generate_group([alpha_matrix(m)]), method="reynolds", minus_i_shortcut=False
+    )
     for shortcut in (False, True):
-        fast = find_superflow(group, minus_i_shortcut=shortcut)
+        fast = find_superflow(alpha_group(m), minus_i_shortcut=shortcut)
         assert _verdict_key(fast) == _verdict_key(oracle)
         assert fast.shortcut_used == (shortcut and m % 4 == 0)
 
@@ -212,33 +214,15 @@ def test_character_scan_matches_oracle_on_tau_conjugates(m):
     _assert_matches_oracle(alpha_group(m).conjugated_by(tau()))
 
 
-def _diag(*entries):
-    return Mat2.diagonal(*(root_of_unity(n, k) for n, k in entries))
-
-
-@pytest.mark.parametrize(
-    "generators",
-    [
-        [_diag((5, 1), (5, 4))],  # diag(zeta, zeta^-1): not unique
-        [_diag((7, 1), (7, 6))],
-        [_diag((3, 1), (1, 0)), _diag((1, 0), (2, 1))],
-        [_diag((2, 1), (1, 0)), _diag((1, 0), (3, 1))],
-        [_diag((5, 1), (5, 3)), _diag((5, 2), (5, 1))],
-        [_diag((3, 1), (3, 1)), _diag((1, 0), (2, 1))],  # none without -I
-        [_diag((2, 1), (5, 4))],  # first invariants at degree 3, near n/2 = 5
-        [tau()],
-        [_diag((3, 1), (3, 2)), tau()],  # dihedral
-        [_diag((5, 1), (5, 4)), tau()],
-        [Mat2(0, 1, root_of_unity(3), 0)],  # monomial, no -I, no invariant field
-    ],
-)
+@pytest.mark.parametrize("generators", monomial_generators())
 def test_character_scan_matches_oracle_on_monomial_groups(generators):
     _assert_matches_oracle(generate_group(generators))
 
 
 def test_invariant_space_character_matches_oracle_with_antidiagonals():
-    for generators in ([tau()], [_diag((5, 1), (5, 4)), tau()],
-                       [Mat2(0, 1, root_of_unity(3), 0)]):
+    for generators in ([tau()], [diag((5, 1), (5, 4)), tau()],
+                       [Mat2(0, 1, root_of_unity(3), 0)],
+                       [Mat2(0, root_of_unity(4), root_of_unity(4, 3), 0)]):
         group = generate_group(generators)
         for lx, ly in ((0, 0), (1, 0), (0, 2), (1, 1)):
             fast = invariant_space(group, lx, ly, method="character")

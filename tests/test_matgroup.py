@@ -11,7 +11,6 @@ from superflows.matgroup import (
     alpha_group,
     alpha_matrix,
     generate_group,
-    is_real_conjugate_candidate,
     matrix_finite_order,
     tau,
 )
@@ -88,12 +87,6 @@ def test_generators_must_be_invertible():
         generate_group([Mat2(1, 1, 1, 1)])
 
 
-def test_real_trace_candidates():
-    assert is_real_conjugate_candidate(Mat2.identity())
-    assert not is_real_conjugate_candidate(alpha_matrix(5))
-    assert is_real_conjugate_candidate(alpha_matrix(2))
-
-
 def test_alpha_trace_value():
     # trace(alpha) = zeta_m - zeta_m^(-1) = 2i sin(2 pi / m)
     for m in (5, 7, 9):
@@ -128,16 +121,6 @@ def test_tau_conjugation_reduces_even_to_odd():
         left = sorted(g.lift(order).key() for g in conjugated)
         right = sorted(g.lift(order).key() for g in odd)
         assert left == right
-
-
-def test_group_serialization_shape():
-    payload = alpha_group(5).to_dict()
-    assert set(payload) == {"conductor", "generators", "order"}
-    assert payload["order"] == 10
-    assert len(payload["generators"]) == 1
-    assert len(payload["generators"][0]) == 4
-    for text in payload["generators"][0]:
-        CycNum.parse(text)
 
 
 def test_matrix_product_associative_spot_check():
