@@ -12,7 +12,11 @@ denominator (the layout of FLINT's fmpq_poly), kept canonical with
 gcd(den, *num) == 1, so equality is a tuple comparison and cancellation of
 root-of-unity sums is exact, never a floating-point call.  A product is an
 integer convolution folded back through a per-conductor table of z^e mod
-Phi_N.  An element of modulus one, every root of unity among them, is
+Phi_N.  Two products skip it: a zero factor gives the zero of the common
+order before anything is lifted, and a rational factor scales the other
+factor's numerators, lifting them only when the rational's order does not
+divide theirs.  Both return exactly the full product, order and key
+included.  An element of modulus one, every root of unity among them, is
 inverted by complex conjugation, confirmed by one exact product; any other
 element through its norm, the product of its Galois conjugates.
 """
@@ -296,6 +300,10 @@ class CycNum:
             other = CycNum._coerce(other)
             if other is None:
                 return NotImplemented
+        if not any(other._num[1:]):
+            return other._scale(self)
+        if not any(self._num[1:]):
+            return self._scale(other)
         a, b = (self, other) if self.order == other.order else self._common(other)
         x, y = a._num, b._num
         deg = len(x)
@@ -313,6 +321,20 @@ class CycNum:
         return _canonical(a.order, out, a._den * b._den)
 
     __rmul__ = __mul__
+
+    def _scale(self, other: "CycNum") -> "CycNum":
+        """self * other for a rational self, equal to the full product in order and key.
+
+        other is lifted only when self's order does not divide its own, and a
+        zero factor gives the zero of the common order before any lift.
+        """
+        n = math.lcm(self.order, other.order)
+        p = self._num[0]
+        if not p or not any(other._num):
+            return CycNum.zero(n)
+        if n != other.order:
+            other = other.lift(n)
+        return _canonical(n, [p * v for v in other._num], self._den * other._den)
 
     def _complex_conjugate(self) -> "CycNum":
         """The image under z -> z^(-1), complex conjugation in Q(zeta_N)."""

@@ -40,7 +40,7 @@ class HomPoly:
     __slots__ = ("degree", "coeffs", "_embedded")
 
     def __init__(self, degree: int, coeffs):
-        coeffs = tuple(_scalar(c) for c in coeffs)
+        coeffs = tuple(c if c.__class__ is CycNum else _scalar(c) for c in coeffs)
         if degree < 0 or len(coeffs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
         object.__setattr__(self, "degree", degree)
@@ -327,57 +327,57 @@ class RatVF:
     def conjugate(self, L: Mat2) -> "RatVF":
         """Exact L^(-1) o V o L.
 
-        Any invertible L is accepted while the denominator is trivial; with a
-        nontrivial monomial denominator L must be diagonal or antidiagonal,
-        otherwise the image denominator would not be a monomial and
+        A diagonal or antidiagonal L, whatever the denominator, takes the
+        monomial branch: each coefficient is multiplied by one factor from a
+        running product, and an antidiagonal L also reverses the coefficients
+        and swaps the denominator exponents.  Any other invertible L needs a
+        trivial denominator and takes the generic branch, which substitutes
+        L into the numerators with HomPoly.compose_linear; with a nontrivial
+        denominator the image denominator would not be a monomial, and
         NonMonomialDenominatorError is raised.
         """
+        diagonal = L.is_diagonal()
+        if diagonal or L.is_antidiagonal():
+            s, t = (L.a, L.d) if diagonal else (L.b, L.c)
+            if s.is_zero() or t.is_zero():
+                raise ZeroDivisionError("conjugating matrix is singular")
+            if self.is_zero:
+                return self
+            deg, lx, ly = self.num_x.degree, self.lx, self.ly
+            # e[k] = s^(k-lx-1) t^(deg-k-ly) for 0 <= k <= deg+1.  For
+            # L = diag(s, t) the coefficients of x^i y^(deg-i) map as
+            # u_i -> u_i e[i] and v_i -> v_i e[i+1].  For L = antidiag(s, t),
+            # x -> s*y and y -> t*x, so u_i -> u_i e[i] lands in the second
+            # component and v_i -> v_i e[i+1] in the first, both at the
+            # x^(deg-i) y^i slot.  e[lx+1] = t, and e steps by s/t upward.
+            down, up = t * s.inverse(), s * t.inverse()
+            e = [t]
+            for _ in range(lx + 1):
+                e.append(e[-1] * down)
+            e.reverse()
+            for _ in range(deg - lx):
+                e.append(e[-1] * up)
+            cx = [u * f for u, f in zip(self.num_x.coeffs, e)]
+            cy = [v * f for v, f in zip(self.num_y.coeffs, e[1:])]
+            if diagonal:
+                return RatVF(HomPoly(deg, cx), HomPoly(deg, cy), lx, ly)
+            return RatVF(HomPoly(deg, cy[::-1]), HomPoly(deg, cx[::-1]), ly, lx)
         det = L.det()
         if det.is_zero():
             raise ZeroDivisionError("conjugating matrix is singular")
         if self.is_zero:
             return self
-        deg = self.num_x.degree
-        if self.lx == 0 and self.ly == 0:
-            px = self.num_x.compose_linear(L.a, L.b, L.c, L.d)
-            qy = self.num_y.compose_linear(L.a, L.b, L.c, L.d)
-            dinv = det.inverse()
-            new_x = (px.scale(L.d) - qy.scale(L.b)).scale(dinv)
-            new_y = (qy.scale(L.a) - px.scale(L.c)).scale(dinv)
-            return RatVF(new_x, new_y, 0, 0)
-        if L.is_diagonal():
-            s, t = L.a, L.d
-            # coefficient of x^i y^(deg-i): u_i -> u_i s^(i-lx-1) t^(deg-i-ly)
-            #                               v_i -> v_i s^(i-lx)   t^(deg-i-ly-1)
-            ratio = s * t.inverse()
-            fx = (s ** (-self.lx - 1)) * (t ** (deg - self.ly))
-            fy = (s ** (-self.lx)) * (t ** (deg - self.ly - 1))
-            cx, cy = [], []
-            for i in range(deg + 1):
-                cx.append(self.num_x.coeffs[i] * fx)
-                cy.append(self.num_y.coeffs[i] * fy)
-                if i < deg:
-                    fx = fx * ratio
-                    fy = fy * ratio
-            return RatVF(HomPoly(deg, cx), HomPoly(deg, cy), self.lx, self.ly)
-        if L.is_antidiagonal():
-            b, c = L.b, L.c
-            # x -> b*y, y -> c*x swaps the denominator exponents
-            dshift = (b ** self.lx) * (c ** self.ly)
-            fx = (c * dshift).inverse()
-            fy = (b * dshift).inverse()
-            cx = [CycNum.zero() for _ in range(deg + 1)]
-            cy = [CycNum.zero() for _ in range(deg + 1)]
-            for i in range(deg + 1):
-                scalar = (b ** i) * (c ** (deg - i))
-                # x^i y^(deg-i) composed gives the x^(deg-i) y^i slot
-                cx[deg - i] = self.num_y.coeffs[i] * scalar * fx
-                cy[deg - i] = self.num_x.coeffs[i] * scalar * fy
-            return RatVF(HomPoly(deg, cx), HomPoly(deg, cy), self.ly, self.lx)
-        raise NonMonomialDenominatorError(
-            "conjugation image denominator is not monomial: matrix is neither "
-            "diagonal nor antidiagonal and the field has a nontrivial denominator"
-        )
+        if self.lx or self.ly:
+            raise NonMonomialDenominatorError(
+                "conjugation image denominator is not monomial: matrix is neither "
+                "diagonal nor antidiagonal and the field has a nontrivial denominator"
+            )
+        px = self.num_x.compose_linear(L.a, L.b, L.c, L.d)
+        qy = self.num_y.compose_linear(L.a, L.b, L.c, L.d)
+        dinv = det.inverse()
+        new_x = (px.scale(L.d) - qy.scale(L.b)).scale(dinv)
+        new_y = (qy.scale(L.a) - px.scale(L.c)).scale(dinv)
+        return RatVF(new_x, new_y, 0, 0)
 
     # -- text form ---------------------------------------------------------
 

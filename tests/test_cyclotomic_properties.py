@@ -165,3 +165,29 @@ def test_inverse_falls_back_when_conjugate_fails():
     assert abs(abs(u.embed()) - 1) <= 1e-9
     assert same(u.inverse(), oracle(u).inverse())
     assert u * u.inverse() == 1
+
+
+# (order of the rational factor, order of the other factor): equal orders,
+# order 1 against N, and N against a proper multiple, each way round
+SCALAR_ORDERS = [(4, 4), (7, 7), (12, 12), (1, 7), (7, 1), (1, 12), (12, 1), (4, 12), (12, 4), (7, 21), (21, 7)]
+
+
+def rationals(order):
+    return st.builds(
+        lambda p, q: CycNum.rational(Fraction(p, q), order), st.integers(-6, 6), st.integers(1, 6)
+    )
+
+
+@pytest.mark.parametrize("m, n", SCALAR_ORDERS)
+@PROPERTY
+@given(data=st.data())
+def test_zero_and_rational_products_agree_with_oracle(m, n, data):
+    # these products take the short-circuits of CycNum.__mul__; the result
+    # must be the full product exactly, order and key included
+    a = data.draw(cycnums(n))
+    for r in (data.draw(rationals(m)), CycNum.zero(m)):
+        for x, y in ((r, a), (a, r)):
+            got, want = x * y, oracle(x) * oracle(y)
+            assert same(got, want)
+            assert got.order == math.lcm(m, n)
+            assert got.key() == CycNum(want.order, want.coeffs).key()

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from superflows import cyclotomic
 from superflows.cyclotomic import CycNum, root_of_unity
+from superflows.engine import _laurent_monomial
 from superflows.errors import NonMonomialDenominatorError, SingularPointError
 from superflows.homog import HomPoly, RatVF, monomial_field, reynolds_average
 from superflows.matgroup import Mat2, alpha_group, alpha_matrix, generate_group, tau
@@ -124,6 +126,64 @@ def test_conjugate_numeric_consistency():
             got = w.eval_field(p)
             for u, e in zip(got, expected):
                 assert abs(u - e) <= 1e-9 * max(1.0, abs(e))
+
+
+def _dense_polynomial_field(rng, m: int) -> RatVF:
+    def coeff():
+        return root_of_unity(m, rng.randrange(m)) * Fraction(rng.randint(1, 3), rng.randint(1, 2))
+
+    return RatVF(HomPoly(2, [coeff() for _ in range(3)]), HomPoly(2, [coeff() for _ in range(3)]))
+
+
+def _conjugate_by_composition(v: RatVF, L: Mat2) -> RatVF:
+    """L^(-1) o V o L for a polynomial field, by substituting L into both numerators."""
+    px = v.num_x.compose_linear(L.a, L.b, L.c, L.d)
+    qy = v.num_y.compose_linear(L.a, L.b, L.c, L.d)
+    dinv = L.det().inverse()
+    return RatVF((px.scale(L.d) - qy.scale(L.b)).scale(dinv), (qy.scale(L.a) - px.scale(L.c)).scale(dinv))
+
+
+def test_monomial_conjugation_matches_composition():
+    # conjugate() sends monomial matrices through its running-product branch;
+    # the substitution formula is the independent check of that branch
+    rng = random.Random(43)
+    for m in (3, 5, 7):
+        v = _dense_polynomial_field(rng, m)
+        for L in [tau(), Mat2.diagonal(2, 3), *alpha_group(m)]:
+            assert v.conjugate(L) == _conjugate_by_composition(v, L)
+
+
+def test_oracle_products_skip_zero_convolutions(monkeypatch):
+    # a product with a zero operand must return before any lift or convolution
+    events = []
+    fold, lift, mul = cyclotomic._fold_table, CycNum.lift, CycNum.__mul__
+
+    def counting_fold(n):
+        events.append("fold")
+        return fold(n)
+
+    def counting_lift(self, order):
+        events.append("lift")
+        return lift(self, order)
+
+    zero_calls, past_short_circuit = [], []
+
+    def counting_mul(a, b):
+        before = len(events)
+        out = mul(a, b)
+        if isinstance(b, CycNum) and (a.is_zero() or b.is_zero()):
+            zero_calls.append(1)
+            if len(events) > before:
+                past_short_circuit.append((a, b))
+        return out
+
+    monkeypatch.setattr(cyclotomic, "_fold_table", counting_fold)
+    monkeypatch.setattr(CycNum, "lift", counting_lift)
+    monkeypatch.setattr(CycNum, "__mul__", counting_mul)
+    monkeypatch.setattr(CycNum, "__rmul__", counting_mul)
+    reynolds_average(alpha_group(7), _laurent_monomial(0, 3))
+    _dense_polynomial_field(random.Random(47), 7).conjugate(tau())
+    assert zero_calls and not past_short_circuit
 
 
 def test_conjugate_non_monomial_image_rejected():
