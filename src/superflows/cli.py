@@ -71,8 +71,12 @@ def _make_flow(family: str, args) -> flows.ClosedFormFlow:
 def _emit(lines, args):
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            message = f"--out: cannot write {args.out}: {exc.strerror}"
+            raise argparse.ArgumentError(None, message) from None
     else:
         sys.stdout.write(text)
 

@@ -70,33 +70,25 @@ class _Characters:
         n = self.n
         return all(_exponent(component, a, s, t) % n == 0 for s, t in self.logs)
 
-    def basis(self, monomials) -> list[RatVF]:
-        """Basis of the invariant fields spanned by the surviving monomials.
+    def degree_basis(self, deg: int) -> list[RatVF]:
+        """Basis of the invariant fields whose monomials have denominator degree deg.
 
-        `monomials` yields (component, a, lx, ly): x^a y^(2-a) in `component`,
-        written over x^lx y^ly.  With a swap in the group, each survivor m
-        becomes m + w.m.
+        Those are x^a y^(2-a) in either component with a in {-deg, deg+2}
+        (a in {0, 1, 2} at deg 0), each over its minimal monomial denominator.
+        With a swap in the group, each survivor m becomes m + w.m.
         """
         swap = self.group.swap
         fields = []
-        for component, a, lx, ly in monomials:
-            if not self.survives(component, a):
-                continue
-            field = monomial_field(component, a + lx, lx, ly)
-            if swap is not None:
-                image = self.group.root(_exponent(component, a, swap[1], swap[2]))
-                field = field + _laurent_monomial(1 - component, 2 - a, image)
-            fields.append(field)
+        for component in (0, 1):
+            for a in (0, 1, 2) if deg == 0 else (-deg, deg + 2):
+                if not self.survives(component, a):
+                    continue
+                field = _laurent_monomial(component, a)
+                if swap is not None:
+                    image = self.group.root(_exponent(component, a, swap[1], swap[2]))
+                    field = field + _laurent_monomial(1 - component, 2 - a, image)
+                fields.append(field)
         return _eliminate(fields)
-
-    def degree_basis(self, deg: int) -> list[RatVF]:
-        """Basis of the invariant fields whose monomials have denominator degree deg."""
-        exponents = (0, 1, 2) if deg == 0 else (-deg, deg + 2)
-        return self.basis(
-            (component, a, max(-a, 0), max(a - 2, 0))
-            for component in (0, 1)
-            for a in exponents
-        )
 
 
 def _laurent_monomial(component: int, a: int, coeff=1) -> RatVF:
@@ -148,27 +140,16 @@ def _eliminate(fields: list[RatVF]) -> list[RatVF]:
     return basis
 
 
-def invariant_space(
-    group: FiniteMatrixGroup, lx: int, ly: int, method: str = "auto"
-) -> list[RatVF]:
+def invariant_space(group: FiniteMatrixGroup, lx: int, ly: int) -> list[RatVF]:
     """Exact basis of the group averages of the monomial fields over x^lx y^ly.
 
     For a diagonal group that is the space of invariant fields with that
-    denominator.  method "character" (or "auto") keeps the monomials that
-    pass the integer character test and, when the group has an antidiagonal
-    element w, pairs each survivor m with w.m; "reynolds" averages every
-    monomial field over the whole group.
+    denominator.  Every monomial field is averaged over the whole group
+    (Reynolds averaging), so this shares no code with the character scan.
     """
-    monomial = _exponent_form(group)
     if lx < 0 or ly < 0:
         raise ValueError("denominator exponents must be non-negative")
     deg = lx + ly + 2
-    if method in ("auto", "character"):
-        return _Characters(monomial).basis(
-            (component, i - lx, lx, ly) for component in (0, 1) for i in range(deg + 1)
-        )
-    if method != "reynolds":
-        raise ValueError(f"unknown method {method!r}")
     averages = [
         reynolds_average(group, monomial_field(component, i, lx, ly))
         for component in (0, 1)
@@ -217,7 +198,7 @@ def find_superflow(
     group: FiniteMatrixGroup,
     max_denom_degree: int | None = None,
     minus_i_shortcut: bool = True,
-    method: str = "auto",
+    method: str = "character",
 ) -> SuperflowVerdict:
     """Scan denominator degrees upward and report the first nonzero space.
 
@@ -226,24 +207,24 @@ def find_superflow(
     max_denom_degree.  When -I belongs to the group, conjugation negates
     every 2-homogeneous field, so the verdict is "none" without scanning;
     pass minus_i_shortcut=False to force the scan (the two must agree).
-    method "auto" and "character" scan with integer characters; "reynolds"
-    merges the averaged spaces over every denominator x^l y^(deg-l) at each
-    degree, the independent oracle.
+    method "character" scans with integer characters; "reynolds" merges the
+    averaged spaces over every denominator x^l y^(deg-l) at each degree, the
+    independent oracle.
     """
+    if method not in ("character", "reynolds"):
+        raise ValueError(f"unknown method {method!r}")
     monomial = _exponent_form(group)
     if minus_i_shortcut and group.has_minus_identity():
         return SuperflowVerdict("none", None, None, 0, shortcut_used=True)
     period_degree = monomial.n // 2
     last = period_degree if max_denom_degree is None else min(max_denom_degree, period_degree)
-    if method in ("auto", "character"):
+    if method == "character":
         space_at = _Characters(monomial).degree_basis
-    elif method == "reynolds":
+    else:
         def space_at(deg):
             return _eliminate(
-                [f for lx in range(deg + 1) for f in invariant_space(group, lx, deg - lx, method)]
+                [f for lx in range(deg + 1) for f in invariant_space(group, lx, deg - lx)]
             )
-    else:
-        raise ValueError(f"unknown method {method!r}")
     for deg in range(last + 1):
         basis = space_at(deg)
         if basis:
@@ -275,14 +256,14 @@ class ClassifyRow:
         }
 
 
-def classify_alpha(m_lo: int, m_hi: int, method: str = "auto") -> list[ClassifyRow]:
+def classify_alpha(m_lo: int, m_hi: int) -> list[ClassifyRow]:
     """One verdict row per m in [m_lo, m_hi] for the groups <alpha(m)>."""
     if not 3 <= m_lo <= m_hi:
         raise ValueError("need 3 <= m_lo <= m_hi")
     rows = []
     for m in range(m_lo, m_hi + 1):
         group = alpha_group(m)
-        verdict = find_superflow(group, method=method)
+        verdict = find_superflow(group)
         reduction = m // 2 if m % 4 == 2 else None
         rows.append(
             ClassifyRow(

@@ -26,7 +26,6 @@ from typing import Iterable
 
 from .errors import BranchError, SingularityApproachError, SingularPointError
 from .homog import HomPoly, RatVF
-from .matgroup import Mat2
 
 __all__ = [
     "ClosedFormFlow",
@@ -41,7 +40,6 @@ __all__ = [
     "check_translation",
     "check_pde",
     "check_orbits",
-    "conjugate_flow_numeric",
     "nonalgebraic_field",
     "catalog",
 ]
@@ -409,21 +407,3 @@ def check_orbits(rng, n: int, steps: int) -> list[VerificationRecord]:
         points = [(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)) for _ in range(n)]
         records.append(replace(verify_orbit_ode(orbit, field, points), tol=1e-6))
     return records
-
-
-def _as_numeric_matrix(L):
-    if isinstance(L, Mat2):
-        return L.embed()
-    (a, b), (c, d) = L
-    return ((complex(a), complex(b)), (complex(c), complex(d)))
-
-
-def conjugate_flow_numeric(L, flow: ClosedFormFlow, point, t) -> tuple[complex, complex]:
-    """Numeric L^(-1)(phi^t(L p)) for an invertible numeric or exact matrix."""
-    (a, b), (c, d) = _as_numeric_matrix(L)
-    det = a * d - b * c
-    if abs(det) < 1e-14:
-        raise ZeroDivisionError("conjugating matrix is numerically singular")
-    x, y = complex(point[0]), complex(point[1])
-    u, v = flow.eval((a * x + b * y, c * x + d * y), t)
-    return ((d * u - b * v) / det, (a * v - c * u) / det)

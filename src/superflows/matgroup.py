@@ -167,8 +167,7 @@ class FiniteMatrixGroup:
 
     The element list is closed under multiplication and inversion and always
     contains the identity; `order` is the number of distinct elements.  All
-    elements share one conductor, fixed at construction, and membership is a
-    lookup of the matrix key at that conductor.
+    elements share one conductor, fixed at construction.
     """
 
     def __init__(self, generators, elements, conductor):
@@ -186,17 +185,10 @@ class FiniteMatrixGroup:
     def __iter__(self):
         return iter(self.elements)
 
-    @cached_property
-    def _keys(self) -> frozenset:
-        return frozenset(g.lift(self.conductor).key() for g in self.elements)
-
     def __contains__(self, matrix):
         if not isinstance(matrix, Mat2):
             return False
-        if self.conductor % matrix.conductor:
-            # entries labelled outside the group's field: compare by lifting
-            return any(matrix == g for g in self.elements)
-        return matrix.lift(self.conductor).key() in self._keys
+        return any(matrix == g for g in self.elements)
 
     def has_minus_identity(self) -> bool:
         minus_i = Mat2(-1, 0, 0, -1)

@@ -26,9 +26,9 @@ from math import gcd, lcm, tau
 
 from .cyclotomic import CycNum
 from .errors import BranchError
-from .flows import ClosedFormFlow, VerificationRecord, _as_numeric_matrix
+from .flows import ClosedFormFlow, VerificationRecord
 from .homog import RatVF
-from .matgroup import Mat2, matrix_finite_order
+from .matgroup import Mat2
 
 __all__ = [
     "SymmetryFamily",
@@ -41,7 +41,6 @@ __all__ = [
     "check_family_draws",
     "diagonal_symmetry_solve",
     "family_finite_order",
-    "cross_check_finite_order",
     "flow_symmetry_family",
     "FAMILIES",
 ]
@@ -61,29 +60,26 @@ class SymmetryFamily:
         if self.kind == "diagonal_power" and self.exponents is None:
             raise ValueError("diagonal power family needs exponents")
 
+    def _entries(self, params, scalar):
+        """The member's entries a, b, c, d, with each parameter read by `scalar`."""
+        if self.kind == "diagonal_power":
+            c = scalar(params)
+            e1, e2 = self.exponents
+            return c ** e1, scalar(0), scalar(0), c ** e2
+        if self.kind == "delta_tilde":
+            b, d = scalar(params[0]), scalar(params[1])
+            return d * d, b, scalar(0), d
+        d, b = scalar(params[0]), scalar(params[1])
+        return d * d - b, b, d * d - d - b, d + b
+
     def matrix_numeric(self, params):
         """Family member with complex parameters, as nested tuples."""
-        if self.kind == "diagonal_power":
-            c = complex(params)
-            e1, e2 = self.exponents
-            return ((c ** e1, 0j), (0j, c ** e2))
-        if self.kind == "delta_tilde":
-            b, d = complex(params[0]), complex(params[1])
-            return ((d * d, b), (0j, d))
-        d, b = complex(params[0]), complex(params[1])
-        return ((d * d - b, b), (d * d - d - b, d + b))
+        a, b, c, d = self._entries(params, complex)
+        return ((a, b), (c, d))
 
     def matrix_exact(self, params) -> Mat2:
         """Family member with exact (CycNum or rational) parameters."""
-        if self.kind == "diagonal_power":
-            c = _exact(params)
-            e1, e2 = self.exponents
-            return Mat2.diagonal(c ** e1, c ** e2)
-        if self.kind == "delta_tilde":
-            b, d = _exact(params[0]), _exact(params[1])
-            return Mat2(d * d, b, CycNum.zero(), d)
-        d, b = _exact(params[0]), _exact(params[1])
-        return Mat2(d * d - b, b, d * d - d - b, d + b)
+        return Mat2(*self._entries(params, _exact))
 
     def sample_params(self, rng):
         """A random parameter draw from a region clear of degeneracies."""
@@ -150,75 +146,65 @@ def flow_symmetry_family(flow: ClosedFormFlow) -> SymmetryFamily:
     raise ValueError(f"no cataloged symmetry family for {flow.label}")
 
 
-def _numeric_field_residual(L, field: RatVF, samples) -> float:
-    (a, b), (c, d) = _as_numeric_matrix(L)
-    det = a * d - b * c
-    if abs(det) < 1e-14:
-        raise ZeroDivisionError("matrix is numerically singular")
-    worst = 0.0
-    for p in samples:
-        x, y = complex(p[0]), complex(p[1])
-        wx, wy = field.eval_field((a * x + b * y, c * x + d * y))
-        gx = (d * wx - b * wy) / det
-        gy = (a * wy - c * wx) / det
-        vx, vy = field.eval_field((x, y))
-        worst = max(worst, abs(gx - vx), abs(gy - vy))
-    return worst
+def _conjugation_residual(L, image, value, samples) -> float:
+    """Max of |L^(-1) image(L p, t) - value(p, t)| over the samples (p, t), both components.
 
-
-def check_field_symmetry(L, field: RatVF, samples=None, tol: float = SYMMETRY_TOL, resample=None):
-    """Whether L^(-1) o V o L == V; returns (bool, max residual).
-
-    Exact matrices take the exact symbolic route whenever the conjugation
-    stays inside monomial denominators (diagonal or antidiagonal L, or a
-    polynomial field); the numeric route compares values at sample points
-    and needs `samples`.  When `resample` (a zero-argument callable yielding
-    fresh samples) is given, a failing numeric check is repeated once on new
-    points to filter conditioning flukes near singular loci.
+    L is a Mat2 or nested pairs of numbers, read as complex entries once per
+    call.  `image` and `value` take a point and a time: a flow's eval, or a
+    field's values with the time ignored.
     """
-    if isinstance(L, Mat2) and (
-        L.is_diagonal() or L.is_antidiagonal() or (field.lx == 0 and field.ly == 0)
-    ):
-        if field.conjugate(L) == field:
-            return True, 0.0
-        if samples is None:
-            return False, float("inf")
-        return False, _numeric_field_residual(L, field, samples)
-    if samples is None:
-        raise ValueError("numeric symmetry check needs sample points")
-    resid = _numeric_field_residual(L, field, samples)
-    if resid > tol and resample is not None:
-        resid = _numeric_field_residual(L, field, resample())
-    return resid <= tol, resid
-
-
-def _flow_symmetry_residual(L, flow: ClosedFormFlow, samples) -> float:
-    (a, b), (c, d) = _as_numeric_matrix(L)
+    if isinstance(L, Mat2):
+        (a, b), (c, d) = L.embed()
+    else:
+        (a, b), (c, d) = ((complex(e) for e in row) for row in L)
     det = a * d - b * c
     if abs(det) < 1e-14:
         raise ZeroDivisionError("matrix is numerically singular")
     worst = 0.0
     for p, t in samples:
         x, y = complex(p[0]), complex(p[1])
-        u, v = flow.eval((a * x + b * y, c * x + d * y), t)
+        u, v = image((a * x + b * y, c * x + d * y), t)
         gx = (d * u - b * v) / det
         gy = (a * v - c * u) / det
-        fx, fy = flow.eval((x, y), t)
+        fx, fy = value((x, y), t)
         worst = max(worst, abs(gx - fx), abs(gy - fy))
     return worst
 
 
-def check_flow_symmetry(L, flow: ClosedFormFlow, samples, tol: float = SYMMETRY_TOL, resample=None):
+def check_field_symmetry(L, field: RatVF, samples=None):
+    """Whether L^(-1) o V o L == V; returns (bool, max residual).
+
+    Exact matrices take the exact symbolic route whenever the conjugation
+    stays inside monomial denominators (diagonal or antidiagonal L, or a
+    polynomial field); the numeric route compares values at sample points
+    and needs `samples`.
+    """
+    exact = isinstance(L, Mat2) and (
+        L.is_diagonal() or L.is_antidiagonal() or (field.lx == 0 and field.ly == 0)
+    )
+    if exact and field.conjugate(L) == field:
+        return True, 0.0
+    if samples is None:
+        if exact:
+            return False, float("inf")
+        raise ValueError("numeric symmetry check needs sample points")
+
+    def values(point, _):
+        return field.eval_field(point)
+
+    resid = _conjugation_residual(L, values, values, [(p, None) for p in samples])
+    # an exact conjugate that differs fails whatever the samples show
+    return not exact and resid <= SYMMETRY_TOL, resid
+
+
+def check_flow_symmetry(L, flow: ClosedFormFlow, samples):
     """Whether L^(-1)(phi^t(L p)) == phi^t(p) at every sample (p, t).
 
     Branch trouble (the conjugated radicand path meeting zero) propagates as
-    BranchError, distinct from a residual failure.  A failing check is
-    repeated once on fresh samples when `resample` is provided.
+    BranchError, distinct from a residual failure.
     """
-    worst = _flow_symmetry_residual(L, flow, samples)
-    if worst > tol and resample is not None:
-        worst = _flow_symmetry_residual(L, flow, resample())
-    return worst <= tol, worst
+    worst = _conjugation_residual(L, flow.eval, flow.eval, samples)
+    return worst <= SYMMETRY_TOL, worst
 
 
 def check_family_draws(flow: ClosedFormFlow, samples, rng, draws: int) -> VerificationRecord:
@@ -306,9 +292,3 @@ def _is_zero_param(b) -> bool:
     if isinstance(b, CycNum):
         return b.is_zero()
     return complex(b) == 0
-
-
-def cross_check_finite_order(family: SymmetryFamily, params, bound: int = 200):
-    """matrix_finite_order on the exact member; for tests against the criterion."""
-    member = family.matrix_exact(params)
-    return matrix_finite_order(member, bound)

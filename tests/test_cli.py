@@ -196,13 +196,16 @@ def test_engine_error_surfaces_with_context(capsys):
         ["verify-flow", "--family", "parabolic", "--k", "2"],
         ["verify-pde", "--family", "sph_inf", "--k", "1"],
         ["symmetry", "--family", "delta_tilde", "--k", "2"],
+        ["solve", "--m", "3", "--out", "/nonexistent/dir/x"],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_tol_replaces_every_tolerance(monkeypatch):

@@ -7,11 +7,18 @@ import pytest
 from monomial_groups import diag, monomial_generators
 
 from superflows.cyclotomic import root_of_unity
-from superflows.engine import _Characters, classify_alpha, find_superflow, invariant_space
+from superflows.engine import (
+    _Characters,
+    _eliminate,
+    classify_alpha,
+    find_superflow,
+    invariant_space,
+)
 from superflows.homog import monomial_field
 from superflows.matgroup import (
     FiniteMatrixGroup,
     Mat2,
+    MonomialGroup,
     alpha_group,
     alpha_matrix,
     generate_group,
@@ -60,27 +67,33 @@ def test_invariant_space_known_superflow_fields():
     assert invariant_space(alpha_group(5), 0, 1) == [monomial_field(1, 3, 0, 1)]
 
 
+def _character_space(group, deg):
+    """The character scan's fields over some denominator x^lx y^(deg-lx): degrees 0..deg."""
+    chars = _Characters(MonomialGroup.from_matrices(group.generators))
+    return _eliminate([f for d in range(deg + 1) for f in chars.degree_basis(d)])
+
+
+def _reynolds_space(group, deg):
+    """The Reynolds spaces over every denominator x^lx y^(deg-lx), merged."""
+    return _eliminate([f for lx in range(deg + 1) for f in invariant_space(group, lx, deg - lx)])
+
+
 def test_invariant_space_zero_below_minimal_degree():
     # m = 4k+3: nothing below denominator degree 2k; m = 4k+1: below 2k-1
     for k in (1, 2, 3):
-        group = alpha_group(4 * k + 3)
-        for deg in range(2 * k):
-            for lx in range(deg + 1):
-                assert invariant_space(group, lx, deg - lx) == []
-        group = alpha_group(4 * k + 1)
-        for deg in range(2 * k - 1):
-            for lx in range(deg + 1):
-                assert invariant_space(group, lx, deg - lx) == []
+        chars = _Characters(alpha_group(4 * k + 3))
+        assert all(chars.degree_basis(deg) == [] for deg in range(2 * k))
+        assert chars.degree_basis(2 * k) != []
+        chars = _Characters(alpha_group(4 * k + 1))
+        assert all(chars.degree_basis(deg) == [] for deg in range(2 * k - 1))
+        assert chars.degree_basis(2 * k - 1) != []
 
 
 def test_character_and_reynolds_methods_agree():
     for m in (3, 5, 7):
         group = alpha_group(m)
         for deg in range(0, 4):
-            for lx in range(deg + 1):
-                fast = invariant_space(group, lx, deg - lx, method="character")
-                slow = invariant_space(group, lx, deg - lx, method="reynolds")
-                assert fast == slow
+            assert _character_space(group, deg) == _reynolds_space(group, deg)
 
 
 def test_find_superflow_examples():
@@ -224,9 +237,9 @@ def test_invariant_space_character_matches_oracle_with_antidiagonals():
                        [Mat2(0, 1, root_of_unity(3), 0)],
                        [Mat2(0, root_of_unity(4), root_of_unity(4, 3), 0)]):
         group = generate_group(generators)
-        for lx, ly in ((0, 0), (1, 0), (0, 2), (1, 1)):
-            fast = invariant_space(group, lx, ly, method="character")
-            assert fast == invariant_space(group, lx, ly, method="reynolds")
+        for deg in range(3):
+            fast = _character_space(group, deg)
+            assert fast == _reynolds_space(group, deg)
             assert all(f.conjugate(g) == f for f in fast for g in group)
 
 
@@ -276,6 +289,11 @@ def test_rejects_non_monomial_preserving_groups():
     group = generate_group([shear])
     with pytest.raises(ValueError):
         find_superflow(group)
+
+
+def test_find_superflow_rejects_unknown_method():
+    with pytest.raises(ValueError, match="unknown method"):
+        find_superflow(alpha_group(5), method="auto")
 
 
 def test_classify_rejects_bad_range():

@@ -13,7 +13,6 @@ from superflows.flows import (
     check_orbits,
     check_pde,
     check_translation,
-    conjugate_flow_numeric,
     extract_vector_field,
     integrate_trajectory,
     nonalgebraic_field,
@@ -23,7 +22,7 @@ from superflows.flows import (
     verify_translation,
 )
 from superflows.homog import RatVF
-from superflows.symmetry import check_family_draws
+from superflows.symmetry import _conjugation_residual, check_family_draws
 
 
 def test_parabolic_direct_substitution():
@@ -236,11 +235,8 @@ def test_level0_singularity():
 def test_conjugate_flow_identity():
     rng = random.Random(19)
     flow = ClosedFormFlow("parabolic")
-    for _ in range(10):
-        p, t = flow.sample_point(rng), flow.sample_time(rng)
-        got = conjugate_flow_numeric(((1, 0), (0, 1)), flow, p, t)
-        want = flow.eval(p, t)
-        assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) < 1e-14
+    samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(10)]
+    assert _conjugation_residual(((1, 0), (0, 1)), flow.eval, flow.eval, samples) < 1e-14
 
 
 def test_conjugated_parabolic_is_sph_inf():
@@ -248,12 +244,10 @@ def test_conjugated_parabolic_is_sph_inf():
     parabolic = ClosedFormFlow("parabolic")
     sph = ClosedFormFlow("sph_inf")
     L = ((1, 0), (-1, 1))
-    for _ in range(50):
-        p = (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        t = rng.uniform(-1, 1)
-        got = conjugate_flow_numeric(L, parabolic, p, t)
-        want = sph.eval(p, t)
-        assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-10
+    samples = [
+        ((rng.uniform(-1, 1), rng.uniform(-1, 1)), rng.uniform(-1, 1)) for _ in range(50)
+    ]
+    assert _conjugation_residual(L, parabolic.eval, sph.eval, samples) <= 1e-10
 
 
 def test_conjugation_closed_form_general_matrix():
@@ -267,10 +261,13 @@ def test_conjugation_closed_form_general_matrix():
         if abs(det) < 0.2:
             continue
         x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        got = conjugate_flow_numeric(((a, b), (c, d)), parabolic, (x, y), 1.0)
-        s = (c * x + d * y) ** 2
-        want = (d / det * s + x, -c / det * s + y)
-        assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-10
+
+        def closed_form(point, t):
+            s = (c * point[0] + d * point[1]) ** 2
+            return (d / det * s + point[0], -c / det * s + point[1])
+
+        L = ((a, b), (c, d))
+        assert _conjugation_residual(L, parabolic.eval, closed_form, [((x, y), 1.0)]) <= 1e-10
 
 
 def test_triangular_family_fixes_parabolic():
@@ -281,9 +278,8 @@ def test_triangular_family_fixes_parabolic():
         b = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         p = (rng.uniform(-1, 1), rng.uniform(-1, 1))
         t = rng.uniform(-1, 1)
-        got = conjugate_flow_numeric(((d * d, b), (0, d)), parabolic, p, t)
-        want = parabolic.eval(p, t)
-        assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-10
+        L = ((d * d, b), (0, d))
+        assert _conjugation_residual(L, parabolic.eval, parabolic.eval, [(p, t)]) <= 1e-10
 
 
 def test_flow_constructor_validation():

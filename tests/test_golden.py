@@ -14,6 +14,13 @@ from superflows import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
+SYMMETRY_FAMILIES = [
+    ("delta_tilde", []),
+    ("gamma_4k1", ["--k", "1"]),
+    ("gamma_4k3", ["--k", "1"]),
+    ("gamma_sph", []),
+]
+
 CASES = {
     "classify_3-60.txt": [["classify", "--m", "3..60"]],
     "classify_3-60.json": [["classify", "--m", "3..60", "--format", "json"]],
@@ -23,6 +30,14 @@ CASES = {
     "solve_bounded.txt": [
         ["solve", "--m", "5", "--max-degree", "0"],
         ["solve", "--m", "7", "--max-degree", "3"],
+    ],
+    "symmetry.txt": [
+        ["symmetry", "--family", family, *k, "--draws", "5", "--seed", "3"]
+        for family, k in SYMMETRY_FAMILIES
+    ],
+    "symmetry.json": [
+        ["symmetry", "--family", family, *k, "--draws", "5", "--seed", "3", "--format", "json"]
+        for family, k in SYMMETRY_FAMILIES
     ],
 }
 
