@@ -52,9 +52,9 @@ _m_value = _int_at_least(3)
 
 def _m_range(text: str) -> tuple[int, int]:
     """argparse type for classify --m: a single m or a range lo..hi, each m >= 3."""
-    lo, _, hi = text.partition("..")
+    lo, dots, hi = text.partition("..")
     lo = _m_value(lo)
-    hi = _m_value(hi) if hi else lo
+    hi = _m_value(hi) if dots else lo
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
@@ -71,12 +71,8 @@ def _make_flow(family: str, args) -> flows.ClosedFormFlow:
 def _emit(lines, args):
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            message = f"--out: cannot write {args.out}: {exc.strerror}"
-            raise argparse.ArgumentError(None, message) from None
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
     else:
         sys.stdout.write(text)
 
@@ -149,6 +145,7 @@ def cmd_solve(args) -> int:
             "denom_degree": verdict.denom_degree,
             "dimension": verdict.dimension,
             "field": verdict.field.to_text() if verdict.field else None,
+            "scan_bound": verdict.scan_bound,
         }
         _emit([json.dumps(payload, sort_keys=True)], args)
     else:
@@ -287,6 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out:
+        # an unwritable --out is a usage error before the command does any work
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            parser.error(f"--out: cannot write {args.out}: {exc.strerror}")
     try:
         return args.func(args)
     except argparse.ArgumentError as exc:

@@ -19,6 +19,15 @@ divide theirs.  Both return exactly the full product, order and key
 included.  An element of modulus one, every root of unity among them, is
 inverted by complex conjugation, confirmed by one exact product; any other
 element through its norm, the product of its Galois conjugates.
+
+CycNum.sum adds any number of terms in one accumulation: the lcm of their
+orders and of their denominators, integer numerators summed with a lift only
+for nonzero terms of another order, and one cancellation at the end; binary
++ is its two-term case.  Equality across orders lifts nothing when either
+side is rational, because 1 heads every power basis.  A root of unity's
+multiplicative order is found by stripping the primes of the torsion bound
+lcm(2, N) one at a time, so it takes one power per prime factor counted
+with multiplicity, not one per divisor.
 """
 
 from __future__ import annotations
@@ -61,6 +70,20 @@ def _divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -257,26 +280,39 @@ class CycNum:
         return None
 
     def _common(self, other: "CycNum"):
-        if self.order == other.order:
-            return self, other
         n = math.lcm(self.order, other.order)
         return self.lift(n), other.lift(n)
+
+    @staticmethod
+    def sum(terms) -> "CycNum":
+        """The exact sum of CycNum terms, equal to their + fold in value, order and key.
+
+        One pass takes the lcm of every order, zeros included, as + labels
+        its result, and of every denominator; a second accumulates integer
+        numerators, lifting only the nonzero terms of another order.  One
+        common-factor cancellation ends it.  An empty sum is the zero of order 1.
+        """
+        terms = tuple(terms)
+        n = den = 1
+        for t in terms:
+            if t.order != n:
+                n = math.lcm(n, t.order)
+            if t._den != den:
+                den = math.lcm(den, t._den)
+        out = [0] * euler_phi(n)
+        for t in terms:
+            if any(t._num):
+                num = t._num if t.order == n else t.lift(n)._num
+                k = den // t._den
+                out = [x + y * k for x, y in zip(out, num)]
+        return _canonical(n, out, den)
 
     def __add__(self, other):
         if other.__class__ is not CycNum:
             other = CycNum._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = (self, other) if self.order == other.order else self._common(other)
-        den, bden = a._den, b._den
-        if den == bden:
-            out = [x + y for x, y in zip(a._num, b._num)]
-        else:
-            g = math.gcd(den, bden)
-            ka, kb = bden // g, den // g
-            out = [x * ka + y * kb for x, y in zip(a._num, b._num)]
-            den *= ka
-        return _canonical(a.order, out, den)
+        return CycNum.sum((self, other))
 
     __radd__ = __add__
 
@@ -398,7 +434,18 @@ class CycNum:
         other = CycNum._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._common(other)
+        a, b = self, other
+        if a.order != b.order:
+            # 1 heads every power basis, so a rational has the same
+            # coordinates at every order and equals only another rational
+            if a.is_rational() or b.is_rational():
+                return (
+                    a.is_rational()
+                    and b.is_rational()
+                    and a._num[0] == b._num[0]
+                    and a._den == b._den
+                )
+            a, b = a._common(b)
         return a._num == b._num and a._den == b._den
 
     # equality lifts across orders, so hashing is unsafe; key() serves maps
@@ -424,8 +471,9 @@ class CycNum:
         """Smallest k >= 1 with self**k == 1, or None if not a root of unity.
 
         The roots of unity contained in Q(zeta_N) form the cyclic group of
-        order lcm(2, N), so the search is complete once self**lcm(2, N) is
-        inspected.
+        order lcm(2, N), so self is one exactly when self**lcm(2, N) == 1.
+        Its order then divides that bound, and each prime p of the bound is
+        stripped from it while self**(order/p) is still one.
         """
         if self.is_zero():
             raise ValueError("zero has no multiplicative order")
@@ -434,10 +482,11 @@ class CycNum:
         bound = math.lcm(2, self.order)
         if (self ** bound) != 1:
             return None
-        for k in _divisors(bound):
-            if (self ** k) == 1:
-                return k
-        raise AssertionError("unreachable: order must divide the torsion bound")
+        order = bound
+        for p in _prime_factors(bound):
+            while order % p == 0 and (self ** (order // p)) == 1:
+                order //= p
+        return order
 
     # -- text form ---------------------------------------------------------
 

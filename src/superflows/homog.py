@@ -270,19 +270,37 @@ class RatVF:
             return RatVF.zero()
         return RatVF(self.num_x.scale(f), self.num_y.scale(f), self.lx, self.ly)
 
+    @staticmethod
+    def sum(fields) -> "RatVF":
+        """The exact sum of fields, with one cancellation for the whole sum.
+
+        Zero fields are skipped and a lone nonzero field comes back as it is.
+        Otherwise every field is written over the common denominator
+        x^max(lx) y^max(ly), and each coefficient slot is one CycNum.sum of
+        its column, so the orders match a pairwise + fold.
+        """
+        fields = [f for f in fields if not f.is_zero]
+        if len(fields) < 2:
+            return fields[0] if fields else RatVF.zero()
+        lx, ly = max(f.lx for f in fields), max(f.ly for f in fields)
+        pad = CycNum.zero()
+        rows_x, rows_y = [], []
+        for f in fields:
+            left, right = (pad,) * (lx - f.lx), (pad,) * (ly - f.ly)
+            rows_x.append(left + f.num_x.coeffs + right)
+            rows_y.append(left + f.num_y.coeffs + right)
+        deg = lx + ly + 2
+        return RatVF(
+            HomPoly(deg, [CycNum.sum(col) for col in zip(*rows_x)]),
+            HomPoly(deg, [CycNum.sum(col) for col in zip(*rows_y)]),
+            lx,
+            ly,
+        )
+
     def __add__(self, other):
         if not isinstance(other, RatVF):
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        lx, ly = max(self.lx, other.lx), max(self.ly, other.ly)
-        ax = self.num_x.shift(lx - self.lx, ly - self.ly)
-        ay = self.num_y.shift(lx - self.lx, ly - self.ly)
-        bx = other.num_x.shift(lx - other.lx, ly - other.ly)
-        by = other.num_y.shift(lx - other.lx, ly - other.ly)
-        return RatVF(ax + bx, ay + by, lx, ly)
+        return RatVF.sum((self, other))
 
     def __sub__(self, other):
         if not isinstance(other, RatVF):
@@ -488,7 +506,4 @@ def reynolds_average(group, field: RatVF) -> RatVF:
     operator is idempotent.  A vanishing average comes back as the explicit
     zero field.
     """
-    total = RatVF.zero()
-    for g in group:
-        total = total + field.conjugate(g)
-    return total.scale(Fraction(1, len(group)))
+    return RatVF.sum(field.conjugate(g) for g in group).scale(Fraction(1, len(group)))

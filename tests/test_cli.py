@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from superflows import cli, flows, matgroup
+from superflows import cli, flows, matgroup, selftest
 from superflows.homog import RatVF, monomial_field
 
 
@@ -94,11 +94,14 @@ def test_solve_bounded_none_names_its_bound():
     code, out = run_cli(["solve", "--m", "5", "--max-degree", "0", "--format", "json"])
     assert json.loads(out) == {
         "m": 5, "group_order": 10, "status": "none", "denom_degree": None,
-        "dimension": 0, "field": None,
+        "dimension": 0, "field": None, "scan_bound": 0,
     }
     assert run_cli(["solve", "--m", "8", "--max-degree", "0"])[1] == (
         "none (minus-identity shortcut), |G| = 8\n"
     )
+    # the shortcut is a proof, so its JSON carries no bound
+    out = run_cli(["solve", "--m", "8", "--max-degree", "0", "--format", "json"])[1]
+    assert json.loads(out)["status"] == "none" and json.loads(out)["scan_bound"] is None
 
 
 def test_verify_flow_exit_and_seed():
@@ -197,6 +200,8 @@ def test_engine_error_surfaces_with_context(capsys):
         ["verify-pde", "--family", "sph_inf", "--k", "1"],
         ["symmetry", "--family", "delta_tilde", "--k", "2"],
         ["solve", "--m", "3", "--out", "/nonexistent/dir/x"],
+        ["classify", "--m", "5.."],
+        ["classify", "--m", "..5"],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, capsys):
@@ -206,6 +211,17 @@ def test_invalid_values_are_usage_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_unwritable_out_fails_before_the_command_runs(monkeypatch, capsys):
+    def must_not_run():
+        raise AssertionError("selftest ran before --out was checked")
+
+    monkeypatch.setattr(selftest, "run_all", must_not_run)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["selftest", "--out", "/nonexistent/dir/x"])
+    assert info.value.code == 2
+    assert "--out: cannot write" in capsys.readouterr().err
 
 
 def test_tol_replaces_every_tolerance(monkeypatch):

@@ -6,7 +6,9 @@ the small conductors, whose least common multiples stay small.
 """
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from fraction_cycnum import FractionCycNum
@@ -191,3 +193,65 @@ def test_zero_and_rational_products_agree_with_oracle(m, n, data):
             assert same(got, want)
             assert got.order == math.lcm(m, n)
             assert got.key() == CycNum(want.order, want.coeffs).key()
+
+
+@st.composite
+def mixed_terms(draw):
+    """1-6 terms over the small conductors: dense, zero, or rational, each at its own order."""
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        order = draw(st.sampled_from(SMALL))
+        kind = draw(st.sampled_from(("dense", "zero", "rational")))
+        if kind == "dense":
+            terms.append(draw(cycnums(order)))
+        elif kind == "zero":
+            terms.append(CycNum.zero(order))
+        else:
+            terms.append(draw(rationals(order)))
+    return terms
+
+
+@PROPERTY
+@given(terms=mixed_terms())
+def test_sum_agrees_with_fold_and_oracle(terms):
+    # the order label is the lcm of every term's order, zeros included
+    got = CycNum.sum(terms)
+    fold = reduce(operator.add, terms)
+    assert got.key() == fold.key()
+    assert same(got, reduce(operator.add, map(oracle, terms)))
+    assert got.order == math.lcm(*(t.order for t in terms)) and canonical(got)
+
+
+def test_empty_sum_is_the_zero_of_order_one():
+    assert CycNum.sum(()).key() == CycNum.zero().key()
+
+
+@PROPERTY
+@given(data=st.data())
+def test_equality_across_orders_agrees_with_oracle(data):
+    # a rational against another order is compared without lifting either side
+    a, b = (
+        data.draw(st.sampled_from(SMALL).flatmap(lambda n: st.one_of(cycnums(n), rationals(n))))
+        for _ in range(2)
+    )
+    for x in (a, b, a.lift(math.lcm(a.order, 3))):
+        for y in (a, b, b.lift(math.lcm(b.order, 2))):
+            assert (x == y) == (oracle(x) == oracle(y))
+
+
+def _brute_force_order(u):
+    power, k = u, 1
+    while power != 1:
+        power, k = power * u, k + 1
+    return k
+
+
+def test_multiplicative_order_matches_brute_force_up_to_60():
+    for n in range(1, 61):
+        for j in range(n):
+            for sign in (1, -1):
+                u = sign * root_of_unity(n, j)
+                assert u.multiplicative_order() == _brute_force_order(u), (n, j, sign)
+        # 1 + zeta_n is zero for n = 2 and -zeta_3^2 for n = 3; otherwise |1 + zeta_n| != 1
+        if n not in (2, 3):
+            assert (1 + root_of_unity(n)).multiplicative_order() is None

@@ -31,6 +31,10 @@ CASES = {
         ["solve", "--m", "5", "--max-degree", "0"],
         ["solve", "--m", "7", "--max-degree", "3"],
     ],
+    "solve_bounded.json": [
+        ["solve", "--m", "5", "--max-degree", "0", "--format", "json"],
+        ["solve", "--m", "7", "--max-degree", "3", "--format", "json"],
+    ],
     "symmetry.txt": [
         ["symmetry", "--family", family, *k, "--draws", "5", "--seed", "3"]
         for family, k in SYMMETRY_FAMILIES

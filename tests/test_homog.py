@@ -128,11 +128,17 @@ def test_conjugate_numeric_consistency():
                 assert abs(u - e) <= 1e-9 * max(1.0, abs(e))
 
 
-def _dense_polynomial_field(rng, m: int) -> RatVF:
+def _dense_polynomial_field(rng, m: int, lx: int = 0, ly: int = 0) -> RatVF:
     def coeff():
         return root_of_unity(m, rng.randrange(m)) * Fraction(rng.randint(1, 3), rng.randint(1, 2))
 
-    return RatVF(HomPoly(2, [coeff() for _ in range(3)]), HomPoly(2, [coeff() for _ in range(3)]))
+    deg = lx + ly + 2
+    return RatVF(
+        HomPoly(deg, [coeff() for _ in range(deg + 1)]),
+        HomPoly(deg, [coeff() for _ in range(deg + 1)]),
+        lx,
+        ly,
+    )
 
 
 def _conjugate_by_composition(v: RatVF, L: Mat2) -> RatVF:
@@ -184,6 +190,65 @@ def test_oracle_products_skip_zero_convolutions(monkeypatch):
     reynolds_average(alpha_group(7), _laurent_monomial(0, 3))
     _dense_polynomial_field(random.Random(47), 7).conjugate(tau())
     assert zero_calls and not past_short_circuit
+
+
+def _sparse_field(rng, lx: int, ly: int) -> RatVF:
+    """Mostly zero coefficients, each zero or value at its own order and denominator."""
+    def coeff():
+        order = rng.choice((1, 3, 4, 12))
+        if rng.random() < 0.6:
+            return CycNum.zero(order)
+        return root_of_unity(order, rng.randrange(order)) * Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    deg = lx + ly + 2
+    polys = [HomPoly(deg, [coeff() for _ in range(deg + 1)]) for _ in range(2)]
+    return RatVF(*polys, lx, ly)
+
+
+def test_sum_matches_the_pairwise_fold_across_denominators():
+    rng = random.Random(53)
+    points = [(0.7 + 0.2j, 1.3 - 0.4j), (1.1, -0.6 + 0.9j)]
+    for _ in range(60):
+        fields = [
+            _sparse_field(rng, rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 6))
+        ]
+        total = RatVF.sum(fields)
+        fold = RatVF.zero()
+        for f in fields:
+            fold = fold + f
+        assert total.to_text() == fold.to_text()
+        for p in points:
+            want = [sum(f.eval_field(p)[c] for f in fields) for c in (0, 1)]
+            assert all(abs(g - w) <= 1e-9 * max(1.0, abs(w)) for g, w in zip(total.eval_field(p), want))
+    lone = _dense_polynomial_field(rng, 4, 1, 2)
+    assert RatVF.sum([RatVF.zero(), lone, RatVF.zero()]) is lone
+    assert RatVF.sum([]) == RatVF.zero()
+
+
+def test_reynolds_average_is_one_accumulation(monkeypatch):
+    # the average sums all images in one CycNum.sum per slot, never pairwise
+    calls = {"add": 0, "lift": 0}
+    add, lift = CycNum.__add__, CycNum.lift
+
+    def counting_add(self, other):
+        calls["add"] += 1
+        return add(self, other)
+
+    def counting_lift(self, order):
+        calls["lift"] += 1
+        return lift(self, order)
+
+    monkeypatch.setattr(CycNum, "__add__", counting_add)
+    monkeypatch.setattr(CycNum, "__radd__", counting_add)
+    monkeypatch.setattr(CycNum, "lift", counting_lift)
+    field = _dense_polynomial_field(random.Random(59), 7, 2, 0)
+    avg = reynolds_average(alpha_group(7), field)
+    assert calls["add"] == 0
+    assert avg == monomial_field(0, 0, 2, 0).scale(avg.leading_coeff())
+    # a rational against an element of another order is compared without a lift
+    calls["lift"] = 0
+    assert root_of_unity(7, 2) != 1 and CycNum.rational(3, 4) == 3 and CycNum.one(5) != root_of_unity(3)
+    assert calls["lift"] == 0
 
 
 def test_conjugate_non_monomial_image_rejected():
