@@ -61,11 +61,11 @@ def _m_range(text: str) -> tuple[int, int]:
 
 
 def _make_flow(family: str, args) -> flows.ClosedFormFlow:
-    radical = family in ("radical_x", "radical_y")
-    if radical == (args.k is None):
-        rule = "is required for" if radical else "does not apply to"
-        raise argparse.ArgumentError(None, f"--k {rule} --family {args.family}")
-    return flows.ClosedFormFlow(family, args.k or 0)
+    """The flow of --family and --k; a flow that rejects its k is a usage error."""
+    try:
+        return flows.ClosedFormFlow(family, args.k or 0)
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, f"--family {args.family}: {exc}") from None
 
 
 def _emit(lines, args):

@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-__all__ = ["CycNum", "root_of_unity", "cyclotomic_polynomial", "euler_phi"]
+__all__ = ["CycNum", "as_cycnum", "root_of_unity", "cyclotomic_polynomial", "euler_phi"]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -554,6 +554,14 @@ class CycNum:
 _set_order = CycNum.__dict__["order"].__set__
 _set_num = CycNum.__dict__["_num"].__set__
 _set_den = CycNum.__dict__["_den"].__set__
+
+
+def as_cycnum(value) -> CycNum:
+    """value as an exact CycNum: a CycNum as it is, an int or Fraction as a rational."""
+    out = CycNum._coerce(value)
+    if out is None:
+        raise TypeError(f"need an exact value (CycNum, int or Fraction), got {value!r}")
+    return out
 
 
 def root_of_unity(order: int, power: int = 1) -> CycNum:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum
-from .homog import RatVF, HomPoly, monomial_field, reynolds_average
+from .homog import RatVF, HomPoly, common_denominator, monomial_field, reynolds_average
 from .matgroup import FiniteMatrixGroup, MonomialGroup, alpha_group
 
 __all__ = [
@@ -39,13 +39,6 @@ __all__ = [
     "find_superflow",
     "classify_alpha",
 ]
-
-
-def _exponent_form(group) -> MonomialGroup:
-    """The group as a MonomialGroup; a FiniteMatrixGroup is read from its generators."""
-    if isinstance(group, MonomialGroup):
-        return group
-    return MonomialGroup.from_matrices(group.generators)
 
 
 def _exponent(component: int, a: int, s: int, t: int) -> int:
@@ -106,16 +99,12 @@ def _eliminate(fields: list[RatVF]) -> list[RatVF]:
     fields = [f for f in fields if not f.is_zero]
     if not fields:
         return []
-    lx = max(f.lx for f in fields)
-    ly = max(f.ly for f in fields)
+    lx, ly, vectors = common_denominator(fields)
     deg = lx + ly + 2
     width = 2 * (deg + 1)
 
     rows: list[tuple[int, list[CycNum]]] = []  # (pivot column, unit-pivot row)
-    for f in fields:
-        fx = f.num_x.shift(lx - f.lx, ly - f.ly)
-        fy = f.num_y.shift(lx - f.lx, ly - f.ly)
-        vec = list(fx.coeffs) + list(fy.coeffs)
+    for vec in vectors:
         for col, prow in rows:
             if not vec[col].is_zero():
                 factor = vec[col]
@@ -197,25 +186,29 @@ class SuperflowVerdict:
 def find_superflow(
     group: FiniteMatrixGroup,
     max_denom_degree: int | None = None,
-    minus_i_shortcut: bool = True,
     method: str = "character",
 ) -> SuperflowVerdict:
     """Scan denominator degrees upward and report the first nonzero space.
 
-    The scan ends at degree ceil(n/2), n = lcm(2, conductor), where every
-    residue of the monomial exponent has been seen, or earlier at
-    max_denom_degree.  When -I belongs to the group, conjugation negates
-    every 2-homogeneous field, so the verdict is "none" without scanning;
-    pass minus_i_shortcut=False to force the scan (the two must agree).
+    When -I belongs to the group, conjugation negates every 2-homogeneous
+    field, so the verdict is "none" without scanning, for any group.
+    Otherwise the group must be monomial, and the scan ends at degree
+    ceil(n/2), n = lcm(2, conductor), where every residue of the monomial
+    exponent has been seen, or earlier at max_denom_degree (at least 0).
     method "character" scans with integer characters; "reynolds" merges the
     averaged spaces over every denominator x^l y^(deg-l) at each degree, the
     independent oracle.
     """
     if method not in ("character", "reynolds"):
         raise ValueError(f"unknown method {method!r}")
-    monomial = _exponent_form(group)
-    if minus_i_shortcut and group.has_minus_identity():
+    if max_denom_degree is not None and max_denom_degree < 0:
+        raise ValueError(f"max_denom_degree must be at least 0, got {max_denom_degree}")
+    if group.has_minus_identity():
         return SuperflowVerdict("none", None, None, 0, shortcut_used=True)
+    # the exponent form; a FiniteMatrixGroup is read from its generators
+    monomial = group
+    if not isinstance(group, MonomialGroup):
+        monomial = MonomialGroup.from_matrices(group.generators)
     period_degree = monomial.n // 2
     last = period_degree if max_denom_degree is None else min(max_denom_degree, period_degree)
     if method == "character":

@@ -31,6 +31,7 @@ __all__ = [
     "ClosedFormFlow",
     "OrbitFunction",
     "VerificationRecord",
+    "residual_sup",
     "verify_translation",
     "extract_vector_field",
     "verify_pde",
@@ -45,6 +46,10 @@ __all__ = [
 ]
 
 FAMILIES = ("parabolic", "sph_inf", "level0", "radical_x", "radical_y")
+
+EXTRACTION_STEP = 1e-5  # time step of the field extraction's differences
+DIFFERENCE_STEP = 1e-6  # spatial step of the PDE and orbit-ODE partials
+SINGULAR_DISTANCE = 1e-3  # RK4 aborts this close to the denominator's zero locus
 
 
 def _segment_min_abs(z0: complex, z1: complex) -> float:
@@ -201,25 +206,40 @@ def _serialize_sample(sample):
     return sample
 
 
-def _vnorm(u, v) -> float:
-    return max(abs(u[0] - v[0]), abs(u[1] - v[1]))
+def residual_sup(pairs: Iterable) -> tuple[int, float, object]:
+    """(count, sup, worst sample) of (residuals, sample) pairs: the one rule of every check.
+
+    Each pair holds the residuals of one sample, one per component, and
+    count is the number of samples.  The sup runs over components and
+    samples alike.  It starts at 0.0 with no sample, and a sample becomes the
+    worst only by exceeding the sup so far, so ties keep the first.  A NaN
+    residual exceeds everything and makes the sup NaN, so no check passes
+    on it.
+    """
+    count, worst, worst_sample = 0, 0.0, None
+    for residuals, sample in pairs:
+        count += 1
+        for r in residuals:
+            if r > worst or (r != r and worst == worst):  # x != x exactly when x is NaN
+                worst, worst_sample = r, sample
+    return count, worst, worst_sample
 
 
 def verify_translation(flow: ClosedFormFlow, samples: Iterable) -> VerificationRecord:
     """Max over (p, t, s) of |phi^(t+s)(p) - phi^s(phi^t(p))| in the sup norm."""
-    worst, worst_sample, count = 0.0, None, 0
-    for p, t, s in samples:
-        count += 1
-        lhs = flow.eval(p, t + s)
-        rhs = flow.eval(flow.eval(p, t), s)
-        r = _vnorm(lhs, rhs)
-        if r > worst:
-            worst, worst_sample = r, (p, t, s)
-    return VerificationRecord(flow.label, "translation", count, worst, worst_sample)
+    def residuals():
+        for p, t, s in samples:
+            lhs = flow.eval(p, t + s)
+            rhs = flow.eval(flow.eval(p, t), s)
+            yield (abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1])), (p, t, s)
+
+    return VerificationRecord(flow.label, "translation", *residual_sup(residuals()))
 
 
-def extract_vector_field(flow: ClosedFormFlow, point, h: float = 1e-5):
+def extract_vector_field(flow: ClosedFormFlow, point):
     """d/dt phi^t(point) at t = 0 by Richardson-extrapolated central differences."""
+    h = EXTRACTION_STEP
+
     def g(t):
         return flow.eval(point, t)
 
@@ -231,57 +251,51 @@ def extract_vector_field(flow: ClosedFormFlow, point, h: float = 1e-5):
     )
 
 
-def verify_pde(
-    flow: ClosedFormFlow,
-    field: RatVF,
-    samples: Iterable,
-    h: float = 1e-6,
-) -> VerificationRecord:
+def verify_pde(flow: ClosedFormFlow, field: RatVF, samples: Iterable) -> VerificationRecord:
     """Residual of u_x (w - x) + u_y (r - y) + u = 0 for both flow components.
 
     u and v are the components of the time-1 map and w . r is the vector
     field; spatial partials are central finite differences.
     """
-    worst, worst_sample, count = 0.0, None, 0
-    for p in samples:
-        count += 1
-        x, y = complex(p[0]), complex(p[1])
-        w, r = field.eval_field((x, y))
-        f0 = flow.eval((x, y), 1.0)
-        fxp = flow.eval((x + h, y), 1.0)
-        fxm = flow.eval((x - h, y), 1.0)
-        fyp = flow.eval((x, y + h), 1.0)
-        fym = flow.eval((x, y - h), 1.0)
-        resid = 0.0
-        for comp in (0, 1):
-            ux = (fxp[comp] - fxm[comp]) / (2 * h)
-            uy = (fyp[comp] - fym[comp]) / (2 * h)
-            resid = max(resid, abs(ux * (w - x) + uy * (r - y) + f0[comp]))
-        if resid > worst:
-            worst, worst_sample = resid, (x, y)
-    return VerificationRecord(flow.label, "pde", count, worst, worst_sample)
+    h = DIFFERENCE_STEP
+
+    def residuals():
+        for p in samples:
+            x, y = complex(p[0]), complex(p[1])
+            w, r = field.eval_field((x, y))
+            f0 = flow.eval((x, y), 1.0)
+            fxp = flow.eval((x + h, y), 1.0)
+            fxm = flow.eval((x - h, y), 1.0)
+            fyp = flow.eval((x, y + h), 1.0)
+            fym = flow.eval((x, y - h), 1.0)
+            yield [
+                abs(
+                    (fxp[c] - fxm[c]) / (2 * h) * (w - x)  # u_x (w - x)
+                    + (fyp[c] - fym[c]) / (2 * h) * (r - y)  # u_y (r - y)
+                    + f0[c]
+                )
+                for c in (0, 1)
+            ], (x, y)
+
+    return VerificationRecord(flow.label, "pde", *residual_sup(residuals()))
 
 
 def integrate_trajectory(
-    field: RatVF,
-    start,
-    t_end: float,
-    steps: int,
-    min_distance: float = 1e-3,
+    field: RatVF, start, t_end: float, steps: int
 ) -> list[tuple[complex, complex]]:
     """Classical fixed-step RK4 along the field, aborting near singularities.
 
     Raises SingularityApproachError as soon as a stage point comes within
-    min_distance of the vanishing locus of the denominator.
+    SINGULAR_DISTANCE of the vanishing locus of the denominator.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
     h = t_end / steps
 
     def guarded(q, step_index):
-        if field.lx and abs(q[0]) < min_distance:
+        if field.lx and abs(q[0]) < SINGULAR_DISTANCE:
             raise SingularityApproachError(q, step_index)
-        if field.ly and abs(q[1]) < min_distance:
+        if field.ly and abs(q[1]) < SINGULAR_DISTANCE:
             raise SingularityApproachError(q, step_index)
         return field.eval_field(q)
 
@@ -340,27 +354,23 @@ def orbit_residual(orbit: OrbitFunction, path) -> float:
     ref = orbit.evaluate(path[0])
     if ref == 0:
         raise SingularPointError("orbit function vanishes at the start point")
-    return max(abs(orbit.evaluate(p) - ref) for p in path) / abs(ref)
+    drift = residual_sup(((abs(orbit.evaluate(p) - ref),), None) for p in path)[1]
+    return drift / abs(ref)
 
 
-def verify_orbit_ode(
-    orbit: OrbitFunction,
-    field: RatVF,
-    samples: Iterable,
-    h: float = 1e-6,
-) -> VerificationRecord:
+def verify_orbit_ode(orbit: OrbitFunction, field: RatVF, samples: Iterable) -> VerificationRecord:
     """Residual of W * r + W_x * (y*w - x*r) = 0 with W_x by central differences."""
-    worst, worst_sample, count = 0.0, None, 0
-    for p in samples:
-        count += 1
-        x, y = complex(p[0]), complex(p[1])
-        w, r = field.eval_field((x, y))
-        wval = orbit.evaluate((x, y))
-        wx = (orbit.evaluate((x + h, y)) - orbit.evaluate((x - h, y))) / (2 * h)
-        resid = abs(wval * r + wx * (y * w - x * r))
-        if resid > worst:
-            worst, worst_sample = resid, (x, y)
-    return VerificationRecord(orbit.kind, "orbit_ode", count, worst, worst_sample)
+    h = DIFFERENCE_STEP
+
+    def residuals():
+        for p in samples:
+            x, y = complex(p[0]), complex(p[1])
+            w, r = field.eval_field((x, y))
+            wval = orbit.evaluate((x, y))
+            wx = (orbit.evaluate((x + h, y)) - orbit.evaluate((x - h, y))) / (2 * h)
+            yield (abs(wval * r + wx * (y * w - x * r)),), (x, y)
+
+    return VerificationRecord(orbit.kind, "orbit_ode", *residual_sup(residuals()))
 
 
 # -- the acceptance checks: seeded draws held to their tolerances ------------
@@ -380,13 +390,18 @@ def check_pde(flow: ClosedFormFlow, rng, n: int) -> list[VerificationRecord]:
     """The flow PDE at n drawn points; then, at n more, the extracted field vs the exact one."""
     field = flow.vector_field()
     pde = verify_pde(flow, field, [flow.sample_point(rng) for _ in range(n)])
-    worst = 0.0
-    for p in [flow.sample_point(rng) for _ in range(n)]:
-        fd = extract_vector_field(flow, p)
-        exact = field.eval_field(p)
-        scale = max(1.0, max(abs(v) for v in exact))
-        worst = max(worst, max(abs(a - b) for a, b in zip(fd, exact)) / scale)
-    extraction = VerificationRecord(flow.label, "vector_field_extraction", n, worst, None, 1e-7)
+
+    def residuals():
+        for p in [flow.sample_point(rng) for _ in range(n)]:
+            fd = extract_vector_field(flow, p)
+            exact = field.eval_field(p)
+            scale = max(1.0, max(abs(v) for v in exact))
+            # division by scale > 0 is monotone: the same sup as dividing the component max
+            yield (abs(fd[0] - exact[0]) / scale, abs(fd[1] - exact[1]) / scale), None
+
+    extraction = VerificationRecord(
+        flow.label, "vector_field_extraction", *residual_sup(residuals()), 1e-7
+    )
     return [replace(pde, tol=1e-6), extraction]
 
 

@@ -20,18 +20,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, as_cycnum
 from .errors import NonMonomialDenominatorError, SingularPointError
 from .matgroup import Mat2
 
-__all__ = ["HomPoly", "RatVF", "monomial_field", "reynolds_average"]
-
-
-def _scalar(value) -> CycNum:
-    out = CycNum._coerce(value)
-    if out is None:
-        raise TypeError(f"cannot use {value!r} as a coefficient")
-    return out
+__all__ = ["HomPoly", "RatVF", "common_denominator", "monomial_field", "reynolds_average"]
 
 
 class HomPoly:
@@ -40,7 +33,7 @@ class HomPoly:
     __slots__ = ("degree", "coeffs", "_embedded")
 
     def __init__(self, degree: int, coeffs):
-        coeffs = tuple(c if c.__class__ is CycNum else _scalar(c) for c in coeffs)
+        coeffs = tuple(c if c.__class__ is CycNum else as_cycnum(c) for c in coeffs)
         if degree < 0 or len(coeffs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
         object.__setattr__(self, "degree", degree)
@@ -57,7 +50,7 @@ class HomPoly:
     @staticmethod
     def monomial(degree: int, i: int, coeff=1) -> "HomPoly":
         vec = [CycNum.zero() for _ in range(degree + 1)]
-        vec[i] = _scalar(coeff)
+        vec[i] = as_cycnum(coeff)
         return HomPoly(degree, vec)
 
     def is_zero(self) -> bool:
@@ -84,7 +77,7 @@ class HomPoly:
         return HomPoly(self.degree, [-c for c in self.coeffs])
 
     def scale(self, factor) -> "HomPoly":
-        f = _scalar(factor)
+        f = as_cycnum(factor)
         return HomPoly(self.degree, [c * f for c in self.coeffs])
 
     def __mul__(self, other):
@@ -106,16 +99,6 @@ class HomPoly:
             return None
         return (min(idx), min(self.degree - i for i in idx))
 
-    def shift(self, dx: int, dy: int) -> "HomPoly":
-        """Multiply by x^dx y^dy."""
-        if dx < 0 or dy < 0:
-            raise ValueError("shift exponents must be non-negative")
-        deg = self.degree + dx + dy
-        out = [CycNum.zero() for _ in range(deg + 1)]
-        for i, c in enumerate(self.coeffs):
-            out[i + dx] = c
-        return HomPoly(deg, out)
-
     def divide_monomial(self, dx: int, dy: int) -> "HomPoly":
         """Exact division by x^dx y^dy (every nonzero term must be divisible)."""
         me = self.min_exponents()
@@ -126,7 +109,7 @@ class HomPoly:
 
     def compose_linear(self, a, b, c, d) -> "HomPoly":
         """P(a*x + b*y, c*x + d*y), exact."""
-        a, b, c, d = (_scalar(v) for v in (a, b, c, d))
+        a, b, c, d = (as_cycnum(v) for v in (a, b, c, d))
         deg = self.degree
         row1 = HomPoly(1, [b, a])
         row2 = HomPoly(1, [d, c])
@@ -265,7 +248,7 @@ class RatVF:
     def scale(self, factor) -> "RatVF":
         if self.is_zero:
             return self
-        f = _scalar(factor)
+        f = as_cycnum(factor)
         if f.is_zero():
             return RatVF.zero()
         return RatVF(self.num_x.scale(f), self.num_y.scale(f), self.lx, self.ly)
@@ -275,27 +258,17 @@ class RatVF:
         """The exact sum of fields, with one cancellation for the whole sum.
 
         Zero fields are skipped and a lone nonzero field comes back as it is.
-        Otherwise every field is written over the common denominator
-        x^max(lx) y^max(ly), and each coefficient slot is one CycNum.sum of
-        its column, so the orders match a pairwise + fold.
+        Otherwise every field is written over their common denominator, and
+        each coefficient slot is one CycNum.sum of its column, so the orders
+        match a pairwise + fold.
         """
         fields = [f for f in fields if not f.is_zero]
         if len(fields) < 2:
             return fields[0] if fields else RatVF.zero()
-        lx, ly = max(f.lx for f in fields), max(f.ly for f in fields)
-        pad = CycNum.zero()
-        rows_x, rows_y = [], []
-        for f in fields:
-            left, right = (pad,) * (lx - f.lx), (pad,) * (ly - f.ly)
-            rows_x.append(left + f.num_x.coeffs + right)
-            rows_y.append(left + f.num_y.coeffs + right)
+        lx, ly, vectors = common_denominator(fields)
+        total = [CycNum.sum(col) for col in zip(*vectors)]
         deg = lx + ly + 2
-        return RatVF(
-            HomPoly(deg, [CycNum.sum(col) for col in zip(*rows_x)]),
-            HomPoly(deg, [CycNum.sum(col) for col in zip(*rows_y)]),
-            lx,
-            ly,
-        )
+        return RatVF(HomPoly(deg, total[: deg + 1]), HomPoly(deg, total[deg + 1 :]), lx, ly)
 
     def __add__(self, other):
         if not isinstance(other, RatVF):
@@ -483,6 +456,22 @@ class RatVF:
 
     def __repr__(self):
         return f"RatVF({self.pretty()})"
+
+
+def common_denominator(fields) -> tuple[int, int, list[tuple]]:
+    """(lx, ly, vectors): the fields written over x^max(lx) y^max(ly).
+
+    Each vector holds one field's numerator coefficients over that
+    denominator, the first component's then the second's, so all vectors
+    have length 2 (lx + ly + 3).
+    """
+    lx, ly = max(f.lx for f in fields), max(f.ly for f in fields)
+    pad = CycNum.zero()
+    vectors = []
+    for f in fields:
+        left, right = (pad,) * (lx - f.lx), (pad,) * (ly - f.ly)
+        vectors.append(left + f.num_x.coeffs + right + left + f.num_y.coeffs + right)
+    return lx, ly, vectors
 
 
 def monomial_field(component: int, i: int, lx: int, ly: int, coeff=1) -> RatVF:

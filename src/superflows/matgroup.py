@@ -14,7 +14,7 @@ import cmath
 import math
 from functools import cached_property
 
-from .cyclotomic import CycNum, root_of_unity
+from .cyclotomic import CycNum, as_cycnum, root_of_unity
 from .errors import CapExceededError
 
 __all__ = [
@@ -29,22 +29,13 @@ __all__ = [
 ]
 
 
-def _entry(value) -> CycNum:
-    if isinstance(value, CycNum):
-        return value
-    coerced = CycNum._coerce(value)
-    if coerced is None:
-        raise TypeError(f"cannot use {value!r} as a matrix entry")
-    return coerced
-
-
 class Mat2:
     """An invertible-or-not 2x2 matrix with entries in one cyclotomic field."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        entries = [_entry(v) for v in (a, b, c, d)]
+        entries = [v if v.__class__ is CycNum else as_cycnum(v) for v in (a, b, c, d)]
         order = 1
         for e in entries:
             order = math.lcm(order, e.order)

@@ -24,9 +24,9 @@ import cmath
 from dataclasses import dataclass
 from math import gcd, lcm, tau
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, as_cycnum
 from .errors import BranchError
-from .flows import ClosedFormFlow, VerificationRecord
+from .flows import ClosedFormFlow, VerificationRecord, residual_sup
 from .homog import RatVF
 from .matgroup import Mat2
 
@@ -79,7 +79,7 @@ class SymmetryFamily:
 
     def matrix_exact(self, params) -> Mat2:
         """Family member with exact (CycNum or rational) parameters."""
-        return Mat2(*self._entries(params, _exact))
+        return Mat2(*self._entries(params, as_cycnum))
 
     def sample_params(self, rng):
         """A random parameter draw from a region clear of degeneracies."""
@@ -88,13 +88,6 @@ class SymmetryFamily:
         if self.kind == "delta_tilde":
             return (_random_disk(rng), _random_unit_annulus(rng))
         return (_random_unit_annulus(rng), _random_disk(rng))
-
-
-def _exact(value) -> CycNum:
-    out = CycNum._coerce(value)
-    if out is None:
-        raise TypeError(f"need an exact parameter, got {value!r}")
-    return out
 
 
 def _random_unit_annulus(rng) -> complex:
@@ -160,15 +153,17 @@ def _conjugation_residual(L, image, value, samples) -> float:
     det = a * d - b * c
     if abs(det) < 1e-14:
         raise ZeroDivisionError("matrix is numerically singular")
-    worst = 0.0
-    for p, t in samples:
-        x, y = complex(p[0]), complex(p[1])
-        u, v = image((a * x + b * y, c * x + d * y), t)
-        gx = (d * u - b * v) / det
-        gy = (a * v - c * u) / det
-        fx, fy = value((x, y), t)
-        worst = max(worst, abs(gx - fx), abs(gy - fy))
-    return worst
+
+    def residuals():
+        for p, t in samples:
+            x, y = complex(p[0]), complex(p[1])
+            u, v = image((a * x + b * y, c * x + d * y), t)
+            gx = (d * u - b * v) / det
+            gy = (a * v - c * u) / det
+            fx, fy = value((x, y), t)
+            yield (abs(gx - fx), abs(gy - fy)), None
+
+    return residual_sup(residuals())[1]
 
 
 def check_field_symmetry(L, field: RatVF, samples=None):
@@ -210,13 +205,13 @@ def check_flow_symmetry(L, flow: ClosedFormFlow, samples):
 def check_family_draws(flow: ClosedFormFlow, samples, rng, draws: int) -> VerificationRecord:
     """The flow's symmetry family at `draws` random members; the worst one is the sample."""
     family = flow_symmetry_family(flow)
-    worst, worst_member = 0.0, None
-    for _ in range(draws):
-        member = family.matrix_numeric(family.sample_params(rng))
-        _, resid = check_flow_symmetry(member, flow, samples)
-        if resid > worst:
-            worst, worst_member = resid, member
-    return VerificationRecord(flow.label, "symmetry", draws, worst, worst_member, SYMMETRY_TOL)
+
+    def residuals():
+        for _ in range(draws):
+            member = family.matrix_numeric(family.sample_params(rng))
+            yield (check_flow_symmetry(member, flow, samples)[1],), member
+
+    return VerificationRecord(flow.label, "symmetry", *residual_sup(residuals()), SYMMETRY_TOL)
 
 
 def diagonal_symmetry_solve(field: RatVF):
@@ -266,7 +261,7 @@ def family_finite_order(family: SymmetryFamily, params):
     may be any complex number.
     """
     if family.kind == "diagonal_power":
-        c = _exact(params)
+        c = as_cycnum(params)
         order = c.multiplicative_order()
         if order is None:
             return None
@@ -278,7 +273,7 @@ def family_finite_order(family: SymmetryFamily, params):
         b, d = params
     else:
         d, b = params
-    d = _exact(d)
+    d = as_cycnum(d)
     if d == 1:
         return 1 if _is_zero_param(b) else None
     order = d.multiplicative_order()

@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from superflows.cyclotomic import CycNum, cyclotomic_polynomial, euler_phi, root_of_unity
+from superflows.cyclotomic import (
+    CycNum,
+    as_cycnum,
+    cyclotomic_polynomial,
+    euler_phi,
+    root_of_unity,
+)
+from superflows.homog import HomPoly
+from superflows.matgroup import Mat2
+from superflows.symmetry import family_finite_order, gamma_4k3
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15]
 
@@ -190,3 +199,18 @@ def test_power_table_at_large_conductor():
     z = root_of_unity(1470)
     assert z.inverse() == root_of_unity(1470, 1469)
     assert z * z.inverse() == 1
+
+
+def test_as_cycnum_is_the_one_exact_coercion():
+    z = root_of_unity(5)
+    assert as_cycnum(z) is z
+    assert as_cycnum(3) == CycNum.rational(3)
+    assert as_cycnum(Fraction(-1, 2)) == CycNum.rational(Fraction(-1, 2))
+    # matrix entries, polynomial coefficients and family parameters all refuse floats
+    for use in (
+        lambda v: Mat2(v, 0, 0, 1),
+        lambda v: HomPoly(0, [v]),
+        lambda v: family_finite_order(gamma_4k3(1), v),
+    ):
+        with pytest.raises(TypeError, match="need an exact value"):
+            use(0.5)

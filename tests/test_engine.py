@@ -2,11 +2,12 @@
 
 import cmath
 import random
+from fractions import Fraction
 
 import pytest
 from monomial_groups import diag, monomial_generators
 
-from superflows.cyclotomic import root_of_unity
+from superflows.cyclotomic import CycNum, root_of_unity
 from superflows.engine import (
     _Characters,
     _eliminate,
@@ -141,13 +142,21 @@ def test_scaling_a_candidate_does_not_change_the_verdict():
     assert [f.normalized() for f in scaled] == space
 
 
+def _assert_scans_find_nothing(group):
+    """No invariant field at any degree of one period: the character scan and the oracle's merge."""
+    characters = _Characters(group)
+    for deg in range(group.n // 2 + 1):
+        assert characters.degree_basis(deg) == []
+        merged = [f for lx in range(deg + 1) for f in invariant_space(group, lx, deg - lx)]
+        assert _eliminate(merged) == []
+
+
 def test_shortcut_agrees_with_generic_scan():
     for m in (4, 8, 12):
         group = alpha_group(m)
         fast = find_superflow(group)
-        slow = find_superflow(group, max_denom_degree=group.order, minus_i_shortcut=False)
-        assert fast.status == slow.status == "none"
-        assert fast.shortcut_used and not slow.shortcut_used
+        assert fast.status == "none" and fast.shortcut_used
+        _assert_scans_find_nothing(group)
 
 
 def test_classification_statuses():
@@ -210,16 +219,12 @@ def _assert_matches_oracle(group):
 
 @pytest.mark.parametrize("m", range(3, 13))
 def test_character_scan_matches_oracle_on_alpha_groups(m):
-    # the oracle averages over the Mat2 closure and scans in full; with the -I
-    # shortcut the character scan must still reach the same verdict, and the
-    # shortcut fires exactly on -I
-    oracle = find_superflow(
-        generate_group([alpha_matrix(m)]), method="reynolds", minus_i_shortcut=False
-    )
-    for shortcut in (False, True):
-        fast = find_superflow(alpha_group(m), minus_i_shortcut=shortcut)
-        assert _verdict_key(fast) == _verdict_key(oracle)
-        assert fast.shortcut_used == (shortcut and m % 4 == 0)
+    # the oracle averages over the Mat2 closure; the shortcut fires exactly on
+    # -I (test_shortcut_agrees_with_generic_scan runs both scans past it)
+    oracle = find_superflow(generate_group([alpha_matrix(m)]), method="reynolds")
+    fast = find_superflow(alpha_group(m))
+    assert _verdict_key(fast) == _verdict_key(oracle)
+    assert fast.shortcut_used == oracle.shortcut_used == (m % 4 == 0)
 
 
 @pytest.mark.parametrize("m", range(3, 11))
@@ -289,6 +294,32 @@ def test_rejects_non_monomial_preserving_groups():
     group = generate_group([shear])
     with pytest.raises(ValueError):
         find_superflow(group)
+
+
+def test_shortcut_decides_non_monomial_groups_that_hold_minus_identity():
+    # the binary tetrahedral group, one of the primitive groups, holds -I
+    i = root_of_unity(4)
+    half = CycNum.rational(Fraction(1, 2))
+    group = generate_group([
+        Mat2(i, 0, 0, -i),
+        Mat2((1 + i) * half, (1 + i) * half, (-1 + i) * half, (1 - i) * half),
+    ])
+    assert group.order == 24 and group.has_minus_identity()
+    verdict = find_superflow(group)
+    assert verdict.status == "none" and verdict.shortcut_used
+    # without -I a non-monomial group still has no exponent form
+    group = generate_group([Mat2(0, -1, 1, -1)])
+    assert group.order == 3 and not group.has_minus_identity()
+    with pytest.raises(ValueError, match="diagonal or antidiagonal"):
+        find_superflow(group)
+
+
+def test_negative_scan_bound_is_rejected():
+    with pytest.raises(ValueError, match="max_denom_degree"):
+        find_superflow(alpha_group(7), max_denom_degree=-1)
+    with pytest.raises(ValueError, match="max_denom_degree"):
+        find_superflow(alpha_group(4), max_denom_degree=-1)
+    assert find_superflow(alpha_group(7), max_denom_degree=0).scan_bound == 0
 
 
 def test_find_superflow_rejects_unknown_method():

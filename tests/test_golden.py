@@ -21,6 +21,22 @@ SYMMETRY_FAMILIES = [
     ("gamma_sph", []),
 ]
 
+CATALOG_FLOWS = [
+    ["--family", "parabolic"],
+    ["--family", "sph_inf"],
+    ["--family", "level0"],
+    ["--family", "radical_x", "--k", "1"],
+    ["--family", "radical_x", "--k", "2"],
+    ["--family", "radical_y", "--k", "1"],
+    ["--family", "radical_y", "--k", "2"],
+]
+
+NUMERIC = {
+    "verify_flow": [["verify-flow", *flow, "--samples", "20", "--seed", "5"] for flow in CATALOG_FLOWS],
+    "verify_pde": [["verify-pde", *flow, "--samples", "10", "--seed", "5"] for flow in CATALOG_FLOWS],
+    "orbits": [["orbits", "--steps", "200", "--samples", "10", "--seed", "5"]],
+}
+
 CASES = {
     "classify_3-60.txt": [["classify", "--m", "3..60"]],
     "classify_3-60.json": [["classify", "--m", "3..60", "--format", "json"]],
@@ -43,6 +59,8 @@ CASES = {
         ["symmetry", "--family", family, *k, "--draws", "5", "--seed", "3", "--format", "json"]
         for family, k in SYMMETRY_FAMILIES
     ],
+    **{f"{name}.txt": argvs for name, argvs in NUMERIC.items()},
+    **{f"{name}.json": [[*argv, "--format", "json"] for argv in argvs] for name, argvs in NUMERIC.items()},
 }
 
 
