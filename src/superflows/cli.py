@@ -68,6 +68,12 @@ def _make_flow(family: str, args) -> flows.ClosedFormFlow:
         raise argparse.ArgumentError(None, f"--family {args.family}: {exc}") from None
 
 
+def _json_line(record: dict) -> str:
+    """One JSON line.  JSON (RFC 8259) has no NaN or Infinity: those are written as null."""
+    text = json.dumps(record, sort_keys=True)
+    return json.dumps(json.loads(text, parse_constant=lambda _: None), allow_nan=False)
+
+
 def _emit(lines, args):
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -87,10 +93,7 @@ def _judge(records, args) -> list:
 def _report(records, args) -> int:
     records = _judge(records, args)
     if args.format == "json":
-        lines = [
-            json.dumps({**r.as_dict(), "seed": args.seed}, sort_keys=True)
-            for r in records
-        ]
+        lines = [_json_line({**r.as_dict(), "seed": args.seed}) for r in records]
     else:
         lines = [f"seed={args.seed}"]
         for r in records:
@@ -104,22 +107,13 @@ def _report(records, args) -> int:
 def cmd_classify(args) -> int:
     rows = engine.classify_alpha(*args.m)
     if args.format == "json":
-        lines = [json.dumps(row.as_dict(), sort_keys=True) for row in rows]
+        lines = [_json_line(row.as_dict()) for row in rows]
     elif args.format == "tsv":
         lines = ["m\tgroup_order\tstatus\tdenom_degree\tfield\treduction"]
         for row in rows:
-            lines.append(
-                "\t".join(
-                    [
-                        str(row.m),
-                        str(row.group_order),
-                        row.status,
-                        "" if row.denom_degree is None else str(row.denom_degree),
-                        row.field.to_text() if row.field else "",
-                        "" if row.reduction is None else str(row.reduction),
-                    ]
-                )
-            )
+            field = row.field.to_text() if row.field else None
+            values = (row.m, row.group_order, row.status, row.denom_degree, field, row.reduction)
+            lines.append("\t".join("" if v is None else str(v) for v in values))
     else:
         lines = []
         for row in rows:
@@ -147,7 +141,7 @@ def cmd_solve(args) -> int:
             "field": verdict.field.to_text() if verdict.field else None,
             "scan_bound": verdict.scan_bound,
         }
-        _emit([json.dumps(payload, sort_keys=True)], args)
+        _emit([_json_line(payload)], args)
     else:
         _emit([f"{verdict.describe()}, |G| = {group.order}"], args)
     return 0
@@ -182,7 +176,7 @@ def cmd_symmetry(args) -> int:
             "worst_residual": record.max_residual,
             "seed": args.seed,
         }
-        lines = [json.dumps(report, sort_keys=True)]
+        lines = [_json_line(report)]
     else:
         lines = [
             f"seed={args.seed}",
@@ -197,15 +191,8 @@ def cmd_selftest(args) -> int:
     results = selftest.run_all()
     if args.format == "json":
         lines = [
-            json.dumps(
-                {
-                    "criterion": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "elapsed_s": round(r.elapsed, 3),
-                },
-                sort_keys=True,
-            )
+            _json_line({"criterion": r.name, "passed": r.passed, "detail": r.detail,
+                        "elapsed_s": round(r.elapsed, 3)})
             for r in results
         ]
     else:

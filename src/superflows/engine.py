@@ -3,22 +3,20 @@
 A vector field is a superflow candidate for a group G when it is invariant
 under conjugation by every element of G and, among invariant fields, its
 common-denominator degree is minimal and the invariant space at that degree
-is one-dimensional.  The engine scans denominator degrees upward and stops
-at the first degree with invariant fields.
+is one-dimensional.
 
-The groups here are monomial, and the scan reads them in the exponent form
-of matgroup.MonomialGroup, n = lcm(2, conductor).  diag(zeta_n^s, zeta_n^t)
+The groups here are monomial, read in the exponent form of
+matgroup.MonomialGroup, n = lcm(2, conductor).  diag(zeta_n^s, zeta_n^t)
 multiplies the Laurent monomial field x^a y^(2-a) by zeta_n to an integer
 linear form in a: (a-1)s + (2-a)t in the first component, as + (1-a)t in
-the second.  A monomial survives when that form is 0 mod n on generators of
-the diagonal subgroup, so the scan is integer arithmetic and builds no
-matrix.  Denominator degree D holds the exponents a = -D and a = D+2
-(a = 0, 1, 2 at D = 0), so degrees 0..ceil(n/2) cover every residue of a
-mod n: a "none" after that scan is a proof, and a scan that the caller's
-bound cut short says so.  An antidiagonal w = [[0, zeta_n^s], [zeta_n^t, 0]]
-maps a monomial m to zeta_n^e x^(2-a) y^a in the other component, e the
-same form at (s, t), and the invariant fields are then spanned by m + w.m
-over the survivors.
+the second.  The monomial survives when that form is 0 mod n on generators
+of the diagonal subgroup: a(s-t) = s-2t, respectively -t (mod n).  These
+congruences have no common solution, a proof of "none", or one class
+a = r (mod M), solved once per component by gcd steps; the fields of least
+denominator degree D(a) = max(-a, a-2, 0) are the members nearest to
+{0, 1, 2}.  An antidiagonal w = [[0, zeta_n^s], [zeta_n^t, 0]] maps a
+monomial m to zeta_n^e x^(2-a) y^a in the other component, e the same form
+at (s, t), and the invariant fields are then spanned by m + w.m.
 
 The generic scan by Reynolds averaging (method "reynolds") shares none of
 this and is kept as the independent oracle of the tests and the benchmark.
@@ -26,6 +24,7 @@ this and is kept as the independent oracle of the tests and the benchmark.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum
@@ -46,42 +45,41 @@ def _exponent(component: int, a: int, s: int, t: int) -> int:
     return (a - 1) * s + (2 - a) * t if component == 0 else a * s + (1 - a) * t
 
 
-class _Characters:
-    """The integer data of the character scan for one monomial group.
+def _survivor_class(group: MonomialGroup, component: int):
+    """None, or (r, M): every diagonal element fixes x^a y^(2-a) in `component` iff a = r (mod M).
 
-    n = lcm(2, conductor) is the order of the roots of unity in the group's
-    field and `logs` holds (s, t) for generators of the diagonal subgroup.
+    e(a) = (s - t) a + e(0), so diag(zeta^s, zeta^t) fixes the monomial iff
+    c a = d (mod n), c = s - t and d = -e(0).  On the class so far,
+    a = r + M k, that reads (cM) k = d - c r (mod n): solvable iff
+    g = gcd(cM, n) divides d - c r, and then k is one class mod n/g.
     """
+    n, r, M = group.n, 0, 1
+    for s, t in group.diagonal_logs():
+        c, d = s - t, -_exponent(component, 0, s, t)
+        g = math.gcd(c * M, n)
+        if (d - c * r) % g:
+            return None
+        k = (d - c * r) // g * pow(c * M // g, -1, n // g)
+        r, M = (r + M * k) % (M * n // g), M * n // g
+    return r, M
 
-    def __init__(self, group: MonomialGroup):
-        self.group = group
-        self.n = group.n
-        self.logs = group.diagonal_logs()
 
-    def survives(self, component: int, a: int) -> bool:
-        """Whether x^a y^(2-a) in `component` is fixed by every diagonal element."""
-        n = self.n
-        return all(_exponent(component, a, s, t) % n == 0 for s, t in self.logs)
+def _least_survivors(group: MonomialGroup):
+    """(D, [(component, a), ...]): the surviving monomials of least degree D, or (None, []).
 
-    def degree_basis(self, deg: int) -> list[RatVF]:
-        """Basis of the invariant fields whose monomials have denominator degree deg.
-
-        Those are x^a y^(2-a) in either component with a in {-deg, deg+2}
-        (a in {0, 1, 2} at deg 0), each over its minimal monomial denominator.
-        With a swap in the group, each survivor m becomes m + w.m.
-        """
-        swap = self.group.swap
-        fields = []
-        for component in (0, 1):
-            for a in (0, 1, 2) if deg == 0 else (-deg, deg + 2):
-                if not self.survives(component, a):
-                    continue
-                field = _laurent_monomial(component, a)
-                if swap is not None:
-                    image = self.group.root(_exponent(component, a, swap[1], swap[2]))
-                    field = field + _laurent_monomial(1 - component, 2 - a, image)
-                fields.append(field)
-        return _eliminate(fields)
+    x^a y^(2-a) has denominator degree D(a) = max(-a, a-2, 0), least at the
+    members of a = r (mod M) nearest to {0, 1, 2}; with 0 <= r < M, those lie
+    among r - M, r, r + M and r + 2M.
+    """
+    members = []
+    for component in (0, 1):
+        solved = _survivor_class(group, component)
+        if solved is not None:
+            r, M = solved
+            members += [(max(-a, a - 2, 0), component, a)
+                        for a in (r - M, r, r + M, r + 2 * M)]
+    degree = min((d for d, _, _ in members), default=None)
+    return degree, [(component, a) for d, component, a in members if d == degree]
 
 
 def _laurent_monomial(component: int, a: int, coeff=1) -> RatVF:
@@ -155,9 +153,9 @@ class SuperflowVerdict:
     fields carries a one-dimensional space (field holds its canonical
     generator); "not_unique" means that space has dimension >= 2; "none"
     means no degree has invariant fields.  A "none" is proved by -I in the
-    group (shortcut_used) or by a scan over one period of monomials; when
-    the caller's bound stopped the scan earlier, scan_bound is the last
-    degree scanned and the "none" holds only up to it.
+    group (shortcut_used) or by empty survivor classes; when the caller's
+    bound is below the least degree and below n/2, scan_bound is that bound
+    and the "none" holds only up to it.
     """
 
     status: str
@@ -188,16 +186,16 @@ def find_superflow(
     max_denom_degree: int | None = None,
     method: str = "character",
 ) -> SuperflowVerdict:
-    """Scan denominator degrees upward and report the first nonzero space.
+    """The invariant fields of least denominator degree, and the verdict they give.
 
     When -I belongs to the group, conjugation negates every 2-homogeneous
-    field, so the verdict is "none" without scanning, for any group.
-    Otherwise the group must be monomial, and the scan ends at degree
-    ceil(n/2), n = lcm(2, conductor), where every residue of the monomial
-    exponent has been seen, or earlier at max_denom_degree (at least 0).
-    method "character" scans with integer characters; "reynolds" merges the
-    averaged spaces over every denominator x^l y^(deg-l) at each degree, the
-    independent oracle.
+    field, so the verdict is "none" for any group.  Otherwise the group must
+    be monomial.  method "character" solves each component's survivor
+    congruences once and takes the class members of least degree D(a);
+    "reynolds", the independent oracle, scans degrees upward and merges the
+    averaged spaces over every denominator x^l y^(deg-l) at each degree.
+    The least degree is at most n/2, n = lcm(2, conductor), where every
+    residue of a has been seen; max_denom_degree (at least 0) caps it.
     """
     if method not in ("character", "reynolds"):
         raise ValueError(f"unknown method {method!r}")
@@ -206,26 +204,34 @@ def find_superflow(
     if group.has_minus_identity():
         return SuperflowVerdict("none", None, None, 0, shortcut_used=True)
     # the exponent form; a FiniteMatrixGroup is read from its generators
-    monomial = group
-    if not isinstance(group, MonomialGroup):
-        monomial = MonomialGroup.from_matrices(group.generators)
+    monomial = (group if isinstance(group, MonomialGroup)
+                else MonomialGroup.from_matrices(group.generators))
     period_degree = monomial.n // 2
     last = period_degree if max_denom_degree is None else min(max_denom_degree, period_degree)
-    if method == "character":
-        space_at = _Characters(monomial).degree_basis
-    else:
-        def space_at(deg):
-            return _eliminate(
-                [f for lx in range(deg + 1) for f in invariant_space(group, lx, deg - lx)]
-            )
-    for deg in range(last + 1):
-        basis = space_at(deg)
-        if basis:
-            if len(basis) == 1:
-                return SuperflowVerdict("superflow", basis[0], deg, 1)
-            return SuperflowVerdict("not_unique", None, deg, len(basis))
     bound = last if last < period_degree else None
-    return SuperflowVerdict("none", None, None, 0, scan_bound=bound)
+    if method == "reynolds":
+        for deg in range(last + 1):
+            basis = _eliminate([f for lx in range(deg + 1)
+                                for f in invariant_space(group, lx, deg - lx)])
+            if basis:
+                if len(basis) == 1:
+                    return SuperflowVerdict("superflow", basis[0], deg, 1)
+                return SuperflowVerdict("not_unique", None, deg, len(basis))
+        return SuperflowVerdict("none", None, None, 0, scan_bound=bound)
+    degree, least = _least_survivors(monomial)
+    if degree is None or degree > last:
+        return SuperflowVerdict("none", None, None, 0, scan_bound=bound)
+    swap = monomial.swap
+    # with a swap, each survivor m pairs with w.m, and the pair spans one field m + w.m
+    dimension = len(least) // (1 if swap is None else 2)
+    if dimension > 1:
+        return SuperflowVerdict("not_unique", None, degree, dimension)
+    component, a = least[0]
+    field = _laurent_monomial(component, a)
+    if swap is not None:
+        image = monomial.root(_exponent(component, a, swap[1], swap[2]))
+        field = field + _laurent_monomial(1 - component, 2 - a, image)
+    return SuperflowVerdict("superflow", field.normalized(), degree, 1)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Matrices carry exact CycNum entries, all lifted to one common conductor, so
 deduplication is exact coefficient comparison, never a floating-point hash.
 generate_group closes a FiniteMatrixGroup by matrix products, with a cap
 against infinite groups.  The groups the verdict decides are monomial, and
-MonomialGroup closes them as exponent triples mod n = lcm(2, conductor)
-with integer additions, building a matrix only when one is asked for.
+MonomialGroup holds them as exponent triples mod n = lcm(2, conductor): its
+order and -I are read off the exponent lattice, and it is closed (by integer
+additions) and written as matrices only when its elements are asked for.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
+from itertools import combinations
 
 from .cyclotomic import CycNum, as_cycnum, root_of_unity
 from .errors import CapExceededError
@@ -27,6 +29,8 @@ __all__ = [
     "tau",
     "matrix_finite_order",
 ]
+
+CLOSURE_CAP = 10_000
 
 
 class Mat2:
@@ -177,27 +181,24 @@ class FiniteMatrixGroup:
         return iter(self.elements)
 
     def __contains__(self, matrix):
-        if not isinstance(matrix, Mat2):
-            return False
-        return any(matrix == g for g in self.elements)
+        return isinstance(matrix, Mat2) and any(matrix == g for g in self.elements)
 
     def has_minus_identity(self) -> bool:
-        minus_i = Mat2(-1, 0, 0, -1)
-        return minus_i in self
+        return Mat2(-1, 0, 0, -1) in self
 
-    def conjugated_by(self, L: Mat2, cap: int = 10_000) -> "FiniteMatrixGroup":
+    def conjugated_by(self, L: Mat2) -> "FiniteMatrixGroup":
         """The group L^(-1) G L, regenerated from conjugated generators."""
         linv = L.inverse()
-        return generate_group([linv * g * L for g in self.generators], cap=cap)
+        return generate_group([linv * g * L for g in self.generators])
 
     def __repr__(self):
         return f"{type(self).__name__}(order={self.order}, conductor={self.conductor})"
 
 
-def generate_group(generators, cap: int = 10_000) -> FiniteMatrixGroup:
+def generate_group(generators) -> FiniteMatrixGroup:
     """Breadth-first closure of the generators under multiplication.
 
-    Raises CapExceededError once the closure grows past `cap`, which signals
+    Raises CapExceededError once the closure grows past CLOSURE_CAP, which signals
     an infinite (or just too large) group.  A finite closure of invertible
     matrices is automatically a group, so no explicit inverses are needed.
     """
@@ -220,9 +221,9 @@ def generate_group(generators, cap: int = 10_000) -> FiniteMatrixGroup:
                 p = m * g
                 k = p.key()
                 if k not in seen:
-                    if len(seen) >= cap:
+                    if len(seen) >= CLOSURE_CAP:
                         raise CapExceededError(
-                            f"group closure exceeded cap of {cap} elements"
+                            f"group closure exceeded cap of {CLOSURE_CAP} elements"
                         )
                     seen[k] = p
                     next_frontier.append(p)
@@ -257,9 +258,10 @@ class MonomialGroup(FiniteMatrixGroup):
 
     With n = lcm(2, conductor), the triple (0, s, t) is diag(zeta_n^s,
     zeta_n^t) and (1, s, t) is [[0, zeta_n^s], [zeta_n^t, 0]].  `gens`
-    holds the generators and `triples` the closed element set, both as such
-    triples.  The Mat2 `generators` and `elements` that the FiniteMatrixGroup
-    methods use are written at the group's own conductor on first use.
+    holds the generators as such triples.  The diagonal elements are the
+    lattice L spanned by `diagonal_logs()` and nZ^2, mod n.  The closed set
+    `triples` and the Mat2 `generators` and `elements` are computed on first
+    use, the matrices at the group's own conductor.
     """
 
     def __init__(self, conductor: int, generators):
@@ -268,22 +270,13 @@ class MonomialGroup(FiniteMatrixGroup):
         self.gens = tuple((kind, s % n, t % n) for kind, s, t in generators)
         if not self.gens:
             raise ValueError("at least one generator is required")
-        queue = [(0, 0, 0)]
-        seen = set(queue)
-        for g in queue:  # breadth first: the queue grows while it is read
-            for h in self.gens:
-                p = _times(g, h, n)
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        self.triples = frozenset(seen)
 
     @staticmethod
     def from_matrices(generators) -> "MonomialGroup":
         """The group generated by diagonal and antidiagonal Mat2s.
 
         Only the generators are converted, by discrete logs of their entries
-        that are confirmed exactly; the closure is then on exponents.
+        that are confirmed exactly; the group is then held in exponent form.
         """
         gens = list(generators)
         conductor = math.lcm(*(g.conductor for g in gens))
@@ -300,12 +293,34 @@ class MonomialGroup(FiniteMatrixGroup):
             triples.append((kind, _discrete_log(u, n), _discrete_log(v, n)))
         return MonomialGroup(conductor, triples)
 
+    @cached_property
+    def triples(self) -> frozenset:
+        """Every element as an exponent triple, by breadth-first closure."""
+        queue = [(0, 0, 0)]
+        seen = set(queue)
+        for g in queue:  # breadth first: the queue grows while it is read
+            for h in self.gens:
+                p = _times(g, h, self.n)
+                if p not in seen:
+                    seen.add(p)
+                    queue.append(p)
+        return frozenset(seen)
+
+    def _lattice_index(self, *extra) -> int:
+        """[Z^2 : L + extra], the gcd of the 2x2 minors of the spanning vectors."""
+        n = self.n
+        vectors = [(n, 0), (0, n), *self.diagonal_logs(), *extra]
+        return math.gcd(*(s * v - t * u for (s, t), (u, v) in combinations(vectors, 2)))
+
     @property
     def order(self) -> int:
-        return len(self.triples)
+        """|L / nZ^2| = n^2 / [Z^2 : L] diagonal elements, doubled by a swap."""
+        return self.n ** 2 // self._lattice_index() * (1 if self.swap is None else 2)
 
     def has_minus_identity(self) -> bool:
-        return (0, self.n // 2, self.n // 2) in self.triples
+        """-I is diagonal, so it is in the group iff (n/2, n/2) lies in L."""
+        half = self.n // 2
+        return self._lattice_index((half, half)) == self._lattice_index()
 
     @property
     def swap(self):
@@ -357,8 +372,8 @@ def alpha_group(m: int) -> MonomialGroup:
     """The cyclic group generated by diag(zeta_m, -zeta_m^(-1)) for m >= 3.
 
     With n = lcm(2, m) the generator is diag(zeta_n^(n/m), zeta_n^(n/2 - n/m)).
-    The order comes out of the closure (2m for odd m, m for even m); no
-    closed-form order is trusted anywhere.
+    The order (2m for odd m, m for even m) is read from the lattice, and
+    cross-checked against the closure in tests.
     """
     if m < 3:
         raise ValueError("alpha_group requires m >= 3")

@@ -53,12 +53,12 @@ def criterion_classification() -> CriterionResult:
             continue
         if row.m % 4 == 3:
             k = (row.m - 3) // 4
-            want = _monomial_vf(0, 2 * k + 2, 2 * k, 0)
+            want = monomial_field(0, 0, 2 * k, 0)
             if row.field != want or row.denom_degree != 2 * k:
                 problems.append(f"m={row.m}: field {row.field}")
         elif row.m % 4 == 1:
             k = (row.m - 1) // 4
-            want = _monomial_vf(1, 2 * k + 1, 0, 2 * k - 1)
+            want = monomial_field(1, 2 * k + 1, 0, 2 * k - 1)
             if row.field != want or row.denom_degree != 2 * k - 1:
                 problems.append(f"m={row.m}: field {row.field}")
     elapsed = time.time() - start
@@ -70,23 +70,17 @@ def criterion_classification() -> CriterionResult:
     return _result("classification", start, not problems, detail)
 
 
-def _monomial_vf(component, numerator_power, lx, ly) -> RatVF:
-    # numerator y^p (first component) or x^p (second component)
-    i = 0 if component == 0 else numerator_power
-    return monomial_field(component, i, lx, ly)
-
-
 def criterion_character_sums() -> CriterionResult:
-    """The verdict's survival predicate vs exact group averages, one period.
+    """The verdict's survivor classes vs exact group averages, one period.
 
-    `engine._Characters(group).survives` decides every verdict.  For each
+    `engine._survivor_class(group, component)` decides every verdict.  For each
     exponent a in one period of n = lcm(2, conductor), the Reynolds average
     of the Laurent monomial x^a y^(2-a) over every group element must give
-    the monomial back when the predicate says it survives, and zero
+    the monomial back when a lies in its component's class, and zero
     otherwise.  Groups: <alpha(m)> for m = 3..13 and one two-generator
-    diagonal group.  The predicate reads each group in exponent form, while
-    the averages run over its closure by Mat2 products, so the oracle shares
-    no group code with the predicate.
+    diagonal group.  The classes are solved from the group's exponent form,
+    while the averages run over its closure by Mat2 products, so the oracle
+    shares no group code with the classes.
     """
     start = time.time()
     z3 = root_of_unity(3)
@@ -95,13 +89,14 @@ def criterion_character_sums() -> CriterionResult:
     cases.append(("<diag(z3, z3^2), diag(i, 1)>", MonomialGroup.from_matrices(two), two))
     checked, bad = 0, []
     for label, group, generators in cases:
-        chars = engine._Characters(group)
         oracle = generate_group(generators)
-        n = chars.n
+        n = group.n
         for component in (0, 1):
+            solved = engine._survivor_class(group, component)
             for a in range(1 - n // 2, n // 2 + 1):
                 field = engine._laurent_monomial(component, a)
-                want = field if chars.survives(component, a) else RatVF.zero()
+                survives = solved is not None and (a - solved[0]) % solved[1] == 0
+                want = field if survives else RatVF.zero()
                 checked += 1
                 if reynolds_average(oracle, field) != want:
                     bad.append((label, component, a))
@@ -222,19 +217,18 @@ def criterion_symmetry_families() -> CriterionResult:
 
 
 def criterion_impossibility() -> CriterionResult:
-    """m in {4, 8, 12}: verdict none via shortcut and via full scan, agreeing."""
+    """m in {4, 8, 12}: verdict none via shortcut and via empty survivor classes, agreeing."""
     start = time.time()
     problems = []
     for m in (4, 8, 12):
         group = alpha_group(m)
         fast = engine.find_superflow(group)
-        scan = engine._Characters(group)
-        found = [d for d in range(group.n // 2 + 1) if scan.degree_basis(d)]
+        classes = [engine._survivor_class(group, component) for component in (0, 1)]
         if not fast.shortcut_used:
             problems.append(f"m={m}: shortcut not taken")
-        if fast.status != "none" or found:
-            problems.append(f"m={m}: {fast.status}, scan finds fields at degrees {found}")
-    detail = "; ".join(problems) if problems else "shortcut and scan agree on none"
+        if fast.status != "none" or classes != [None, None]:
+            problems.append(f"m={m}: {fast.status}, survivor classes {classes}")
+    detail = "; ".join(problems) if problems else "shortcut and empty classes agree on none"
     return _result("impossibility", start, not problems, detail)
 
 

@@ -266,9 +266,7 @@ def family_finite_order(family: SymmetryFamily, params):
         if order is None:
             return None
         e1, e2 = family.exponents
-        o1 = order // gcd(order, e1 % order if e1 % order else order)
-        o2 = order // gcd(order, e2 % order if e2 % order else order)
-        return lcm(o1, o2)
+        return lcm(order // gcd(order, e1), order // gcd(order, e2))
     if family.kind == "delta_tilde":
         b, d = params
     else:

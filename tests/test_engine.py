@@ -5,12 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from monomial_groups import diag, monomial_generators
 
 from superflows.cyclotomic import CycNum, root_of_unity
 from superflows.engine import (
-    _Characters,
     _eliminate,
+    _least_survivors,
+    _survivor_class,
     classify_alpha,
     find_superflow,
     invariant_space,
@@ -36,9 +39,15 @@ def float_character_sum(m, i, ell, component):
     return sum(w ** s for s in range(2 * m))
 
 
+def _in_class(solved, a):
+    """Whether a lies in a survivor class (r, M); None is the empty class."""
+    return solved is not None and (a - solved[0]) % solved[1] == 0
+
+
 def _alpha_survives(m, i, ell, component):
-    """Whether x^i y^(D-i) / x^ell y^(D-2-ell) survives <alpha(m)> in the scan's predicate."""
-    return _Characters(alpha_group(m)).survives(("first", "second").index(component), i - ell)
+    """Whether x^i y^(D-i) / x^ell y^(D-2-ell) lies in <alpha(m)>'s survivor class."""
+    solved = _survivor_class(alpha_group(m), ("first", "second").index(component))
+    return _in_class(solved, i - ell)
 
 
 def test_survival_known_cases():
@@ -68,33 +77,51 @@ def test_invariant_space_known_superflow_fields():
     assert invariant_space(alpha_group(5), 0, 1) == [monomial_field(1, 3, 0, 1)]
 
 
-def _character_space(group, deg):
-    """The character scan's fields over some denominator x^lx y^(deg-lx): degrees 0..deg."""
-    chars = _Characters(MonomialGroup.from_matrices(group.generators))
-    return _eliminate([f for d in range(deg + 1) for f in chars.degree_basis(d)])
-
-
 def _reynolds_space(group, deg):
     """The Reynolds spaces over every denominator x^lx y^(deg-lx), merged."""
     return _eliminate([f for lx in range(deg + 1) for f in invariant_space(group, lx, deg - lx)])
 
 
+def _monomials(field):
+    """(component, a) of every Laurent monomial x^a y^(2-a) with a nonzero coefficient."""
+    return {(component, i - field.lx)
+            for component, poly in enumerate((field.num_x, field.num_y))
+            for i, c in enumerate(poly.coeffs) if not c.is_zero()}
+
+
+def _assert_classes_span(group, deg):
+    """The Reynolds merge up to degree deg is spanned by the survivor class members.
+
+    Its fields hold only class monomials, and its dimension is the number of
+    (component, a) in the classes with D(a) <= deg, halved by a swap, which
+    pairs each survivor m with w.m.
+    """
+    monomial = MonomialGroup.from_matrices(group.generators)
+    members = {(component, a) for component in (0, 1) for a in range(-deg, deg + 3)
+               if _in_class(_survivor_class(monomial, component), a)}
+    space = _reynolds_space(group, deg)
+    assert all(_monomials(f) <= members for f in space)
+    assert len(space) == len(members) // (1 if monomial.swap is None else 2)
+    return space
+
+
 def test_invariant_space_zero_below_minimal_degree():
     # m = 4k+3: nothing below denominator degree 2k; m = 4k+1: below 2k-1
     for k in (1, 2, 3):
-        chars = _Characters(alpha_group(4 * k + 3))
-        assert all(chars.degree_basis(deg) == [] for deg in range(2 * k))
-        assert chars.degree_basis(2 * k) != []
-        chars = _Characters(alpha_group(4 * k + 1))
-        assert all(chars.degree_basis(deg) == [] for deg in range(2 * k - 1))
-        assert chars.degree_basis(2 * k - 1) != []
+        for m, least in ((4 * k + 3, 2 * k), (4 * k + 1, 2 * k - 1)):
+            group = alpha_group(m)
+            degree, _ = _least_survivors(group)
+            assert degree == least
+            if k < 3:  # the Reynolds merge agrees below and at the least degree
+                assert all(_reynolds_space(group, deg) == [] for deg in range(least))
+                assert _reynolds_space(group, least) != []
 
 
 def test_character_and_reynolds_methods_agree():
     for m in (3, 5, 7):
         group = alpha_group(m)
         for deg in range(0, 4):
-            assert _character_space(group, deg) == _reynolds_space(group, deg)
+            _assert_classes_span(group, deg)
 
 
 def test_find_superflow_examples():
@@ -143,12 +170,10 @@ def test_scaling_a_candidate_does_not_change_the_verdict():
 
 
 def _assert_scans_find_nothing(group):
-    """No invariant field at any degree of one period: the character scan and the oracle's merge."""
-    characters = _Characters(group)
+    """No invariant field: empty survivor classes, and the oracle's merge at each degree to n/2."""
+    assert _survivor_class(group, 0) is None and _survivor_class(group, 1) is None
     for deg in range(group.n // 2 + 1):
-        assert characters.degree_basis(deg) == []
-        merged = [f for lx in range(deg + 1) for f in invariant_space(group, lx, deg - lx)]
-        assert _eliminate(merged) == []
+        assert _reynolds_space(group, deg) == []
 
 
 def test_shortcut_agrees_with_generic_scan():
@@ -243,9 +268,61 @@ def test_invariant_space_character_matches_oracle_with_antidiagonals():
                        [Mat2(0, root_of_unity(4), root_of_unity(4, 3), 0)]):
         group = generate_group(generators)
         for deg in range(3):
-            fast = _character_space(group, deg)
-            assert fast == _reynolds_space(group, deg)
-            assert all(f.conjugate(g) == f for f in fast for g in group)
+            space = _assert_classes_span(group, deg)
+            assert all(f.conjugate(g) == f for f in space for g in group)
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_character_scan_matches_oracle_with_the_swap(m):
+    # <alpha(m), tau>: the oracle averages over the Mat2 closure
+    n = alpha_group(m).n
+    group = MonomialGroup(m, [(0, n // m, n // 2 - n // m), (1, 0, 0)])
+    oracle = find_superflow(generate_group([alpha_matrix(m), tau()]), method="reynolds")
+    assert _verdict_key(find_superflow(group)) == _verdict_key(oracle)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    # conductors up to 8 but 7: the oracle needs seconds per group at n = 14
+    st.sampled_from([1, 2, 3, 4, 5, 6, 8]),
+    st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=2),
+    # no antidiagonal, any antidiagonal, or one with w^2 = I, where swap superflows live
+    st.none() | st.tuples(st.integers(0, 15), st.integers(0, 15))
+    | st.integers(0, 15).map(lambda u: (u, -u)),
+)
+def test_congruence_verdict_matches_oracle_on_random_groups(conductor, diagonals, swap):
+    generators = [(0, s, t) for s, t in diagonals]
+    if swap is not None:
+        generators.append((1, *swap))
+    group = MonomialGroup(conductor, generators)
+    half = group.n // 2
+    assert group.order == len(group.triples)
+    assert group.has_minus_identity() == ((0, half, half) in group.triples)
+    fast = find_superflow(group)
+    slow = find_superflow(group, method="reynolds")
+    # exact field equality: the oracle writes rational coefficients at the conductor
+    assert _verdict_key(fast) == _verdict_key(slow)
+
+
+def _closed_form(m):
+    """README's verdict for <alpha(m)>, m not a multiple of 4: (degree, (component, a))."""
+    if m % 4 == 2:
+        degree, (component, a) = _closed_form(m // 2)
+        return degree, (1 - component, 2 - a)  # the swap takes x^a y^(2-a) to x^(2-a) y^a
+    k = m // 4
+    return (2 * k, (0, -2 * k)) if m % 4 == 3 else (2 * k - 1, (1, 2 * k + 1))
+
+
+def test_congruence_step_follows_the_closed_form_up_to_10000():
+    for m in range(3, 10_001):
+        group = alpha_group(m)
+        if m % 4 == 0:
+            assert group.has_minus_identity()
+            continue
+        assert not group.has_minus_identity()
+        degree, monomial = _closed_form(m)
+        assert _least_survivors(group) == (degree, [monomial])
 
 
 def test_readme_closed_forms_up_to_60():

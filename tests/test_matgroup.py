@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from superflows import matgroup
 from superflows.cyclotomic import CycNum, root_of_unity
 from superflows.errors import CapExceededError
 from superflows.matgroup import (
@@ -16,8 +17,9 @@ from superflows.matgroup import (
 )
 
 
-def test_trivial_group():
-    assert generate_group([Mat2.identity()], cap=10).order == 1
+def test_trivial_group(monkeypatch):
+    monkeypatch.setattr(matgroup, "CLOSURE_CAP", 10)
+    assert generate_group([Mat2.identity()]).order == 1
 
 
 def test_alpha_group_known_orders():
@@ -77,9 +79,10 @@ def test_membership_by_key_matches_scan():
     assert alpha_matrix(4) not in group and "not a matrix" not in group
 
 
-def test_cap_exceeded_for_infinite_group():
-    with pytest.raises(CapExceededError):
-        generate_group([Mat2(1, 1, 0, 1)], cap=64)
+def test_cap_exceeded_for_infinite_group(monkeypatch):
+    monkeypatch.setattr(matgroup, "CLOSURE_CAP", 64)
+    with pytest.raises(CapExceededError, match="cap of 64 elements"):
+        generate_group([Mat2(1, 1, 0, 1)])
 
 
 def test_generators_must_be_invertible():

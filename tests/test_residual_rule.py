@@ -137,12 +137,34 @@ def test_numeric_field_symmetry_fails_on_a_nan_component(monkeypatch, component)
     assert not ok and math.isnan(resid)
 
 
+def _strict_json_lines(text):
+    """Every line parsed as JSON that RFC 8259 allows: a bare NaN or Infinity raises."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return [json.loads(line, parse_constant=refuse) for line in text.splitlines()]
+
+
+def _run_json(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    return code, _strict_json_lines(out.getvalue())
+
+
 @pytest.mark.parametrize("component", [0, 1])
 def test_verify_flow_exits_1_on_a_nan_flow(monkeypatch, component):
     monkeypatch.setattr(ClosedFormFlow, "eval", _nan_in(component, ClosedFormFlow.eval))
     argv = ["verify-flow", "--family", "parabolic", "--samples", "5", "--format", "json"]
-    out = io.StringIO()
-    with redirect_stdout(out):
-        code = cli.main(argv)
+    code, (record,) = _run_json(argv)
+    # the NaN residual is written as null, and the check still fails
+    assert code == 1 and record["max_residual"] is None
+
+
+@pytest.mark.parametrize("component", [0, 1])
+def test_symmetry_json_writes_a_nan_residual_as_null(monkeypatch, component):
+    monkeypatch.setattr(ClosedFormFlow, "eval", _nan_in(component, ClosedFormFlow.eval))
+    argv = ["symmetry", "--family", "delta_tilde", "--draws", "3", "--format", "json"]
+    code, (report,) = _run_json(argv)
     assert code == 1
-    assert math.isnan(json.loads(out.getvalue())["max_residual"])
+    assert report["worst_residual"] is None and report["all_passed"] is False

@@ -10,6 +10,7 @@ from superflows.flows import ClosedFormFlow, catalog
 from superflows.homog import HomPoly, RatVF, monomial_field
 from superflows.matgroup import Mat2, matrix_finite_order
 from superflows.symmetry import (
+    SymmetryFamily,
     check_field_symmetry,
     check_flow_symmetry,
     delta_tilde,
@@ -193,6 +194,11 @@ def test_diagonal_power_family_orders():
     assert family_finite_order(fam, CycNum.rational(2)) is None
     member = fam.matrix_exact(root_of_unity(12))
     assert matrix_finite_order(member, 100) == 12
+    # negative and zero exponents: gcd(order, e) reads e mod order, and gcd(order, 0) = order
+    for exponents, want in (((-4, 3), 12), ((0, -3), 4), ((0, 0), 1), ((-6, 0), 2)):
+        fam = SymmetryFamily("diagonal_power", exponents, "diag")
+        assert family_finite_order(fam, root_of_unity(12)) == want
+        assert matrix_finite_order(fam.matrix_exact(root_of_unity(12)), 100) == want
 
 
 def test_order_six_generator_exact():
