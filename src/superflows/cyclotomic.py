@@ -16,9 +16,10 @@ Phi_N.  Two products skip it: a zero factor gives the zero of the common
 order before anything is lifted, and a rational factor scales the other
 factor's numerators, lifting them only when the rational's order does not
 divide theirs.  Both return exactly the full product, order and key
-included.  An element of modulus one, every root of unity among them, is
-inverted by complex conjugation, confirmed by one exact product; any other
-element through its norm, the product of its Galois conjugates.
+included.  Values are immutable, so the zero of each order is one shared
+instance, built once.  An element of modulus one, every root of unity among
+them, is inverted by complex conjugation, confirmed by one exact product;
+any other element through its norm, the product of its Galois conjugates.
 
 CycNum.sum adds any number of terms in one accumulation: the lcm of their
 orders and of their denominators, integer numerators summed with a lift only
@@ -172,11 +173,12 @@ def _canonical(order: int, num, den: int) -> "CycNum":
 class CycNum:
     """An element of Q(zeta_N), stored reduced modulo Phi_N.
 
-    Values are immutable; every operation returns a fresh instance.  The
-    `order` is the label N of the ambient field, not the conductor of the
-    element itself (a rational number can carry any order).  The rational
-    coordinates are `coeffs`; they are stored as integer numerators `_num`
-    over one positive denominator `_den` with gcd(_den, *_num) == 1.
+    Values are immutable and may be shared; CycNum.zero(N) returns one
+    instance per order.  The `order` is the label N of the ambient field,
+    not the conductor of the element itself (a rational number can carry any
+    order).  The rational coordinates are `coeffs`; they are stored as
+    integer numerators `_num` over one positive denominator `_den` with
+    gcd(_den, *_num) == 1.
     """
 
     __slots__ = ("order", "_num", "_den")
@@ -220,7 +222,8 @@ class CycNum:
 
     @staticmethod
     def zero(order: int = 1) -> "CycNum":
-        return CycNum.rational(0, order)
+        """The zero of order `order`: one shared immutable instance per order."""
+        return _zero(order)
 
     @staticmethod
     def one(order: int = 1) -> "CycNum":
@@ -554,6 +557,11 @@ class CycNum:
 _set_order = CycNum.__dict__["order"].__set__
 _set_num = CycNum.__dict__["_num"].__set__
 _set_den = CycNum.__dict__["_den"].__set__
+
+
+@lru_cache(maxsize=None)
+def _zero(order: int) -> CycNum:
+    return CycNum.rational(0, order)
 
 
 def as_cycnum(value) -> CycNum:

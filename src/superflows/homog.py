@@ -45,11 +45,11 @@ class HomPoly:
 
     @staticmethod
     def zero(degree: int) -> "HomPoly":
-        return HomPoly(degree, [0] * (degree + 1))
+        return HomPoly(degree, [CycNum.zero()] * (degree + 1))
 
     @staticmethod
     def monomial(degree: int, i: int, coeff=1) -> "HomPoly":
-        vec = [CycNum.zero() for _ in range(degree + 1)]
+        vec = [CycNum.zero()] * (degree + 1)
         vec[i] = as_cycnum(coeff)
         return HomPoly(degree, vec)
 
@@ -289,10 +289,20 @@ class RatVF:
         raise ValueError("zero field has no leading coefficient")
 
     def normalized(self) -> "RatVF":
-        """Scalar-canonical form: leading coefficient scaled to one."""
+        """Scalar-canonical form: leading coefficient scaled to one.
+
+        A leading 1 whose order divides every coefficient's order returns
+        self: scaling by it would keep every value, order and key.  A leading
+        1 of any other order still scales, to relabel the other coefficients.
+        """
         if self.is_zero:
             return self
-        return self.scale(self.leading_coeff().inverse())
+        lead = self.leading_coeff()
+        if lead == 1 and all(
+            c.order % lead.order == 0 for poly in (self.num_x, self.num_y) for c in poly.coeffs
+        ):
+            return self
+        return self.scale(lead.inverse())
 
     # -- numerics ----------------------------------------------------------
 
@@ -321,9 +331,12 @@ class RatVF:
         A diagonal or antidiagonal L, whatever the denominator, takes the
         monomial branch: each coefficient is multiplied by one factor from a
         running product, and an antidiagonal L also reverses the coefficients
-        and swaps the denominator exponents.  Any other invertible L needs a
-        trivial denominator and takes the generic branch, which substitutes
-        L into the numerators with HomPoly.compose_linear; with a nontrivial
+        and swaps the denominator exponents.  The factors depend only on L
+        and the field's shape (numerator degree, lx), so L builds them once
+        per shape, in its `_factors` slot, and every later field of that
+        shape reuses them.  Any other invertible L needs a trivial
+        denominator and takes the generic branch, which substitutes L into
+        the numerators with HomPoly.compose_linear; with a nontrivial
         denominator the image denominator would not be a monomial, and
         NonMonomialDenominatorError is raised.
         """
@@ -341,13 +354,19 @@ class RatVF:
             # x -> s*y and y -> t*x, so u_i -> u_i e[i] lands in the second
             # component and v_i -> v_i e[i+1] in the first, both at the
             # x^(deg-i) y^i slot.  e[lx+1] = t, and e steps by s/t upward.
-            down, up = t * s.inverse(), s * t.inverse()
-            e = [t]
-            for _ in range(lx + 1):
-                e.append(e[-1] * down)
-            e.reverse()
-            for _ in range(deg - lx):
-                e.append(e[-1] * up)
+            # ly = deg - lx - 2, so (deg, lx) fixes e; L keeps it.
+            if L._factors is None:
+                object.__setattr__(L, "_factors", {})
+            e = L._factors.get((deg, lx))
+            if e is None:
+                down, up = t * s.inverse(), s * t.inverse()
+                e = [t]
+                for _ in range(lx + 1):
+                    e.append(e[-1] * down)
+                e.reverse()
+                for _ in range(deg - lx):
+                    e.append(e[-1] * up)
+                e = L._factors[deg, lx] = tuple(e)
             cx = [u * f for u, f in zip(self.num_x.coeffs, e)]
             cy = [v * f for v, f in zip(self.num_y.coeffs, e[1:])]
             if diagonal:

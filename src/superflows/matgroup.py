@@ -34,9 +34,15 @@ CLOSURE_CAP = 10_000
 
 
 class Mat2:
-    """An invertible-or-not 2x2 matrix with entries in one cyclotomic field."""
+    """An invertible-or-not 2x2 matrix with entries in one cyclotomic field.
 
-    __slots__ = ("a", "b", "c", "d")
+    The entries are immutable.  `_factors` is filled lazily by
+    RatVF.conjugate: for a diagonal or antidiagonal matrix it maps a field
+    shape (numerator degree, lx) to that shape's conjugation factors, so a
+    group element builds them once and frees them with itself.
+    """
+
+    __slots__ = ("a", "b", "c", "d", "_factors")
 
     def __init__(self, a, b, c, d):
         entries = [v if v.__class__ is CycNum else as_cycnum(v) for v in (a, b, c, d)]
@@ -48,6 +54,7 @@ class Mat2:
         object.__setattr__(self, "b", entries[1])
         object.__setattr__(self, "c", entries[2])
         object.__setattr__(self, "d", entries[3])
+        object.__setattr__(self, "_factors", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat2 is immutable")

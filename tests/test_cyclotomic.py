@@ -117,6 +117,12 @@ def test_multiplicative_order_of_powers():
             assert root_of_unity(n, j).multiplicative_order() == n // math.gcd(n, j)
 
 
+def test_zero_is_one_shared_instance_per_order():
+    assert CycNum.zero(7) is CycNum.zero(7)
+    assert CycNum.zero() is not CycNum.zero(7)
+    assert CycNum.zero(7).key() == CycNum.rational(0, 7).key()
+
+
 def test_multiplicative_order_zero_rejected():
     with pytest.raises(ValueError):
         CycNum.zero().multiplicative_order()

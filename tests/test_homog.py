@@ -159,6 +159,48 @@ def test_monomial_conjugation_matches_composition():
             assert v.conjugate(L) == _conjugate_by_composition(v, L)
 
 
+def _keys(v: RatVF):
+    return v.lx, v.ly, [c.key() for c in v.num_x.coeffs + v.num_y.coeffs]
+
+
+def test_conjugation_factors_kept_on_the_matrix_match_a_fresh_build():
+    # (2, 0), (1, 1) and (0, 2) share numerator degree 4, so factors kept
+    # under the degree alone would serve one shape's factors to another
+    rng = random.Random(61)
+    shapes = [(2, 0), (1, 1), (0, 2), (0, 0), (1, 0)]
+    matrices = [tau(), Mat2.diagonal(2, 3), Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0)]
+    for m in (3, 5, 7):
+        matrices += alpha_group(m).elements
+    for L in matrices:
+        for lx, ly in shapes:
+            _sparse_field(rng, lx, ly).conjugate(L)
+        for lx, ly in shapes:
+            for v in (_dense_polynomial_field(rng, 6, lx, ly), _sparse_field(rng, lx, ly)):
+                kept, fresh = v.conjugate(L), v.conjugate(Mat2(*L.entries()))
+                assert kept.to_text() == fresh.to_text()
+                assert _keys(kept) == _keys(fresh)
+
+
+def test_second_conjugation_of_a_shape_inverts_nothing(monkeypatch):
+    calls = []
+    inverse = CycNum.inverse
+
+    def counting_inverse(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(CycNum, "inverse", counting_inverse)
+    rng = random.Random(67)
+    for L in (alpha_matrix(7), tau(), Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0)):
+        first, second = (_dense_polynomial_field(rng, 7, 2, 1) for _ in range(2))
+        calls.clear()
+        first.conjugate(L)
+        assert calls
+        calls.clear()
+        second.conjugate(L)
+        assert not calls
+
+
 def test_oracle_products_skip_zero_convolutions(monkeypatch):
     # a product with a zero operand must return before any lift or convolution
     events = []
@@ -302,6 +344,26 @@ def test_normalized_leading_coefficient():
     n = v.normalized()
     assert n == monomial_field(0, 0, 2, 0)
     assert n.normalized() == n
+
+
+def test_normalized_returns_the_field_only_when_scaling_keeps_every_key():
+    # a leading 1 whose order does not divide some coefficient's order must
+    # still scale, to relabel that coefficient at the lcm order
+    z7 = root_of_unity(7)
+    cases = [
+        ([CycNum.one(), CycNum.zero(7), z7], True),
+        ([CycNum.one(3), CycNum.zero(6), root_of_unity(6)], True),
+        ([CycNum.one(7), CycNum.zero(), z7], False),
+        ([CycNum.one(3), CycNum.rational(2), root_of_unity(3)], False),
+        ([CycNum.rational(2, 7), CycNum.zero(), z7], False),
+    ]
+    for coeffs, unchanged in cases:
+        v = RatVF(HomPoly(2, coeffs), HomPoly(2, coeffs[::-1]))
+        n = v.normalized()
+        assert (n is v) == unchanged
+        assert _keys(n) == _keys(v.scale(v.leading_coeff().inverse()))
+        if not unchanged and v.leading_coeff() == 1:
+            assert _keys(n) != _keys(v)
 
 
 def test_field_addition_mixed_denominators():
