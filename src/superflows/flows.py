@@ -397,7 +397,7 @@ def check_pde(flow: ClosedFormFlow, rng, n: int) -> list[VerificationRecord]:
             exact = field.eval_field(p)
             scale = max(1.0, max(abs(v) for v in exact))
             # division by scale > 0 is monotone: the same sup as dividing the component max
-            yield (abs(fd[0] - exact[0]) / scale, abs(fd[1] - exact[1]) / scale), None
+            yield (abs(fd[0] - exact[0]) / scale, abs(fd[1] - exact[1]) / scale), p
 
     extraction = VerificationRecord(
         flow.label, "vector_field_extraction", *residual_sup(residuals()), 1e-7

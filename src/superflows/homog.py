@@ -129,18 +129,6 @@ class HomPoly:
             object.__setattr__(self, "_embedded", tuple(c.embed() for c in self.coeffs))
         return self._embedded
 
-    def evaluate(self, x: complex, y: complex) -> complex:
-        total = 0j
-        xp = 1 + 0j
-        ypows = [1 + 0j]
-        for _ in range(self.degree):
-            ypows.append(ypows[-1] * y)
-        for i, c in enumerate(self.embedded_coeffs()):
-            if c:
-                total += c * xp * ypows[self.degree - i]
-            xp *= x
-        return total
-
     def to_text(self) -> str:
         terms = [
             "{%s}*x^%d*y^%d" % (c.to_text(), i, self.degree - i)
@@ -307,7 +295,10 @@ class RatVF:
     # -- numerics ----------------------------------------------------------
 
     def eval_field(self, point):
-        """Numeric value at a complex 2-vector; raises on the denominator locus."""
+        """Numeric value at a complex 2-vector; raises on the denominator locus.
+
+        Both numerators read one table of x^i and one of y^j per point.
+        """
         x, y = complex(point[0]), complex(point[1])
         denom = 1 + 0j
         if self.lx:
@@ -318,10 +309,19 @@ class RatVF:
             if y == 0:
                 raise SingularPointError("denominator vanishes: y = 0")
             denom *= y ** self.ly
-        return (
-            self.num_x.evaluate(x, y) / denom,
-            self.num_y.evaluate(x, y) / denom,
-        )
+        xpows, ypows = [1 + 0j], [1 + 0j]
+        for _ in range(self.num_x.degree):
+            xpows.append(xpows[-1] * x)
+            ypows.append(ypows[-1] * y)
+        fx = fy = 0j
+        for cx, cy, xp, yp in zip(
+            self.num_x.embedded_coeffs(), self.num_y.embedded_coeffs(), xpows, reversed(ypows)
+        ):
+            if cx:
+                fx += cx * xp * yp
+            if cy:
+                fy += cy * xp * yp
+        return fx / denom, fy / denom
 
     # -- group action ------------------------------------------------------
 

@@ -139,12 +139,13 @@ def flow_symmetry_family(flow: ClosedFormFlow) -> SymmetryFamily:
     raise ValueError(f"no cataloged symmetry family for {flow.label}")
 
 
-def _conjugation_residual(L, image, value, samples) -> float:
-    """Max of |L^(-1) image(L p, t) - value(p, t)| over the samples (p, t), both components.
+def _conjugation_residual(L, image, values, samples) -> float:
+    """Max of |L^(-1) image(L p, t) - values[i]| over the samples (p, t), both components.
 
     L is a Mat2 or nested pairs of numbers, read as complex entries once per
-    call.  `image` and `value` take a point and a time: a flow's eval, or a
-    field's values with the time ignored.
+    call.  `image` takes a point and a time: a flow's eval, or a field's
+    values with the time ignored.  Each point is a pair of complex numbers,
+    and `values` holds the L-free side, one (fx, fy) per sample, computed once.
     """
     if isinstance(L, Mat2):
         (a, b), (c, d) = L.embed()
@@ -155,15 +156,19 @@ def _conjugation_residual(L, image, value, samples) -> float:
         raise ZeroDivisionError("matrix is numerically singular")
 
     def residuals():
-        for p, t in samples:
-            x, y = complex(p[0]), complex(p[1])
+        for ((x, y), t), (fx, fy) in zip(samples, values):
             u, v = image((a * x + b * y, c * x + d * y), t)
             gx = (d * u - b * v) / det
             gy = (a * v - c * u) / det
-            fx, fy = value((x, y), t)
             yield (abs(gx - fx), abs(gy - fy)), None
 
     return residual_sup(residuals())[1]
+
+
+def _flow_side(flow: ClosedFormFlow, samples):
+    """The samples (p, t) with complex points, and phi^t(p) at each: the side no L changes."""
+    points = [((complex(p[0]), complex(p[1])), t) for p, t in samples]
+    return points, [flow.eval(p, t) for p, t in points]
 
 
 def check_field_symmetry(L, field: RatVF, samples=None):
@@ -184,10 +189,9 @@ def check_field_symmetry(L, field: RatVF, samples=None):
             return False, float("inf")
         raise ValueError("numeric symmetry check needs sample points")
 
-    def values(point, _):
-        return field.eval_field(point)
-
-    resid = _conjugation_residual(L, values, values, [(p, None) for p in samples])
+    points = [((complex(p[0]), complex(p[1])), None) for p in samples]
+    values = [field.eval_field(p) for p, _ in points]
+    resid = _conjugation_residual(L, lambda p, _: field.eval_field(p), values, points)
     # an exact conjugate that differs fails whatever the samples show
     return not exact and resid <= SYMMETRY_TOL, resid
 
@@ -198,18 +202,23 @@ def check_flow_symmetry(L, flow: ClosedFormFlow, samples):
     Branch trouble (the conjugated radicand path meeting zero) propagates as
     BranchError, distinct from a residual failure.
     """
-    worst = _conjugation_residual(L, flow.eval, flow.eval, samples)
+    points, values = _flow_side(flow, samples)
+    worst = _conjugation_residual(L, flow.eval, values, points)
     return worst <= SYMMETRY_TOL, worst
 
 
 def check_family_draws(flow: ClosedFormFlow, samples, rng, draws: int) -> VerificationRecord:
-    """The flow's symmetry family at `draws` random members; the worst one is the sample."""
+    """The flow's symmetry family at `draws` random members; the worst one is the sample.
+
+    phi^t(p) is evaluated once per sample and shared by every member.
+    """
     family = flow_symmetry_family(flow)
+    points, values = _flow_side(flow, samples)
 
     def residuals():
         for _ in range(draws):
             member = family.matrix_numeric(family.sample_params(rng))
-            yield (check_flow_symmetry(member, flow, samples)[1],), member
+            yield (_conjugation_residual(member, flow.eval, values, points),), member
 
     return VerificationRecord(flow.label, "symmetry", *residual_sup(residuals()), SYMMETRY_TOL)
 

@@ -236,7 +236,8 @@ def test_conjugate_flow_identity():
     rng = random.Random(19)
     flow = ClosedFormFlow("parabolic")
     samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(10)]
-    assert _conjugation_residual(((1, 0), (0, 1)), flow.eval, flow.eval, samples) < 1e-14
+    values = [flow.eval(p, t) for p, t in samples]
+    assert _conjugation_residual(((1, 0), (0, 1)), flow.eval, values, samples) < 1e-14
 
 
 def test_conjugated_parabolic_is_sph_inf():
@@ -247,7 +248,8 @@ def test_conjugated_parabolic_is_sph_inf():
     samples = [
         ((rng.uniform(-1, 1), rng.uniform(-1, 1)), rng.uniform(-1, 1)) for _ in range(50)
     ]
-    assert _conjugation_residual(L, parabolic.eval, sph.eval, samples) <= 1e-10
+    values = [sph.eval(p, t) for p, t in samples]
+    assert _conjugation_residual(L, parabolic.eval, values, samples) <= 1e-10
 
 
 def test_conjugation_closed_form_general_matrix():
@@ -262,12 +264,10 @@ def test_conjugation_closed_form_general_matrix():
             continue
         x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
 
-        def closed_form(point, t):
-            s = (c * point[0] + d * point[1]) ** 2
-            return (d / det * s + point[0], -c / det * s + point[1])
-
+        s = (c * x + d * y) ** 2
+        closed_form = (d / det * s + x, -c / det * s + y)
         L = ((a, b), (c, d))
-        assert _conjugation_residual(L, parabolic.eval, closed_form, [((x, y), 1.0)]) <= 1e-10
+        assert _conjugation_residual(L, parabolic.eval, [closed_form], [((x, y), 1.0)]) <= 1e-10
 
 
 def test_triangular_family_fixes_parabolic():
@@ -279,7 +279,8 @@ def test_triangular_family_fixes_parabolic():
         p = (rng.uniform(-1, 1), rng.uniform(-1, 1))
         t = rng.uniform(-1, 1)
         L = ((d * d, b), (0, d))
-        assert _conjugation_residual(L, parabolic.eval, parabolic.eval, [(p, t)]) <= 1e-10
+        value = parabolic.eval(p, t)
+        assert _conjugation_residual(L, parabolic.eval, [value], [(p, t)]) <= 1e-10
 
 
 def test_flow_constructor_validation():

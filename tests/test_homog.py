@@ -9,6 +9,7 @@ from superflows import cyclotomic
 from superflows.cyclotomic import CycNum, root_of_unity
 from superflows.engine import _laurent_monomial
 from superflows.errors import NonMonomialDenominatorError, SingularPointError
+from superflows.flows import catalog, nonalgebraic_field
 from superflows.homog import HomPoly, RatVF, monomial_field, reynolds_average
 from superflows.matgroup import Mat2, alpha_group, alpha_matrix, generate_group, tau
 
@@ -65,6 +66,57 @@ def test_eval_field_singular_point():
     v = monomial_field(0, 0, 2, 0)
     with pytest.raises(SingularPointError):
         v.eval_field((0, 1))
+
+
+def _eval_by_two_walks(field: RatVF, point):
+    """The field's value with each numerator building its own powers of x and y."""
+
+    def walk(poly, x, y):
+        total = 0j
+        xp = 1 + 0j
+        ypows = [1 + 0j]
+        for _ in range(poly.degree):
+            ypows.append(ypows[-1] * y)
+        for i, c in enumerate(poly.embedded_coeffs()):
+            if c:
+                total += c * xp * ypows[poly.degree - i]
+            xp *= x
+        return total
+
+    x, y = complex(point[0]), complex(point[1])
+    denom = 1 + 0j
+    if field.lx:
+        denom *= x ** field.lx
+    if field.ly:
+        denom *= y ** field.ly
+    return walk(field.num_x, x, y) / denom, walk(field.num_y, x, y) / denom
+
+
+def test_eval_field_power_table_gives_the_same_floats_as_two_walks():
+    rng = random.Random(14)
+
+    def dense(m):
+        return CycNum(m, [rng.randint(-3, 3) or 1 for _ in range(cyclotomic.euler_phi(m))])
+
+    # degree 7 over x^2 y^3: zeros inside both numerators, nonzero ends keep lx, ly
+    sparse_dense = RatVF(
+        HomPoly(7, [dense(7), 0, 0, dense(7), 0, dense(9), 0, Fraction(2, 3)]),
+        HomPoly(7, [0, dense(9), 0, 0, dense(7), 0, dense(7), 0]),
+        2,
+        3,
+    )
+    assert (sparse_dense.lx, sparse_dense.ly) == (2, 3)
+    fields = [flow.vector_field() for flow in catalog()]
+    fields += [nonalgebraic_field(), sparse_dense]
+    points = [(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(10)]
+    points += [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(10)]
+    for field in fields:
+        for p in points:
+            assert field.eval_field(p) == _eval_by_two_walks(field, p)
+    for p in ((0, 1 + 0.5j), (1 - 0.5j, 0)):
+        with pytest.raises(SingularPointError):
+            sparse_dense.eval_field(p)
 
 
 def test_conjugate_by_identity():

@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 
 from superflows.cyclotomic import CycNum, root_of_unity
+from superflows.errors import BranchError
 from superflows.flows import ClosedFormFlow, catalog
 from superflows.homog import HomPoly, RatVF, monomial_field
 from superflows.matgroup import Mat2, matrix_finite_order
 from superflows.symmetry import (
+    FAMILIES,
     SymmetryFamily,
+    check_family_draws,
     check_field_symmetry,
     check_flow_symmetry,
     delta_tilde,
@@ -223,3 +226,61 @@ def test_gamma_sph_random_draw_fixes_sph_flow():
     for _ in range(20):
         ok, resid = check_flow_symmetry(fam.matrix_numeric(fam.sample_params(rng)), flow, samples)
         assert ok, resid
+
+
+def _family_flows():
+    """The cataloged flow of each symmetry family (k = 1 for the radicals)."""
+    return [ClosedFormFlow(family, 1 if family.startswith("radical") else 0)
+            for family, _ in FAMILIES.values()]
+
+
+@pytest.mark.parametrize("flow", _family_flows(), ids=lambda f: f.label)
+def test_family_draws_equal_their_members_checked_one_by_one(flow):
+    rng = random.Random(61)
+    samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(20)]
+    record = check_family_draws(flow, samples, random.Random(62), 12)
+    twin = random.Random(62)
+    fam = flow_symmetry_family(flow)
+    members = [fam.matrix_numeric(fam.sample_params(twin)) for _ in range(12)]
+    resids = [check_flow_symmetry(member, flow, samples)[1] for member in members]
+    assert record.n_samples == 12
+    assert record.max_residual == max(resids) and record.passed
+    assert record.worst_sample == members[resids.index(max(resids))]
+
+
+@pytest.mark.parametrize("flow", _family_flows(), ids=lambda f: f.label)
+def test_family_draws_evaluate_the_value_side_once(monkeypatch, flow):
+    rng = random.Random(63)
+    samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(7)]
+    calls = []
+    original = ClosedFormFlow.eval
+
+    def counting(self, point, t):
+        calls.append(t)
+        return original(self, point, t)
+
+    monkeypatch.setattr(ClosedFormFlow, "eval", counting)
+    check_family_draws(flow, samples, rng, 5)
+    assert len(calls) == len(samples) * (5 + 1)
+
+
+def test_a_member_whose_image_crosses_a_branch_raises(monkeypatch):
+    flow = ClosedFormFlow("radical_x", 1)
+    # phi^t at (1, 0.5), t = -1.5 is fine: radicand 1 - 1.5/16
+    samples = [((1.0, 0.5), -1.5)]
+    # diag(1/2, 2) sends the point to (1/2, 1): radicand 1/8 - 1.5 crosses zero
+    crossing = ((0.5, 0), (0, 2))
+    with pytest.raises(BranchError):
+        check_flow_symmetry(crossing, flow, samples)
+    # the first draw is a genuine member; the second crosses
+    drawn = []
+    original = SymmetryFamily.matrix_numeric
+
+    def member_then_crossing(self, params):
+        drawn.append(params)
+        return original(self, params) if len(drawn) == 1 else crossing
+
+    monkeypatch.setattr(SymmetryFamily, "matrix_numeric", member_then_crossing)
+    with pytest.raises(BranchError):
+        check_family_draws(flow, samples, random.Random(64), 3)
+    assert len(drawn) == 2
