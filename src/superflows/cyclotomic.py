@@ -26,9 +26,8 @@ orders and of their denominators, integer numerators summed with a lift only
 for nonzero terms of another order, and one cancellation at the end; binary
 + is its two-term case.  Equality across orders lifts nothing when either
 side is rational, because 1 heads every power basis.  A root of unity's
-multiplicative order is found by stripping the primes of the torsion bound
-lcm(2, N) one at a time, so it takes one power per prime factor counted
-with multiplicity, not one per divisor.
+multiplicative order is read off the phase of its embedding and confirmed
+by one exact comparison, so it takes no power.
 """
 
 from __future__ import annotations
@@ -39,7 +38,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 
-__all__ = ["CycNum", "as_cycnum", "root_of_unity", "cyclotomic_polynomial", "euler_phi"]
+__all__ = [
+    "CycNum", "as_cycnum", "root_of_unity", "torsion_root", "cyclotomic_polynomial", "euler_phi",
+]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -474,15 +475,22 @@ class CycNum:
         """Smallest k >= 1 with self**k == 1, or None if not a root of unity.
 
         The roots of unity contained in Q(zeta_N) form the cyclic group of
-        order lcm(2, N), so self is one exactly when self**lcm(2, N) == 1.
-        Its order then divides that bound, and each prime p of the bound is
-        stripped from it while self**(order/p) is still one.
+        order L = lcm(2, N).  The phase of the embedding names the one
+        candidate zeta_L^j, and one exact comparison confirms it; the order
+        is then L / gcd(L, j).  An element of modulus one that is not that
+        candidate is a root of unity exactly when self**L == 1; its order
+        divides L, and each prime p of L is stripped from it while
+        self**(order/p) is still one.
         """
         if self.is_zero():
             raise ValueError("zero has no multiplicative order")
-        if abs(abs(self.embed()) - 1.0) > 1e-9:
+        z = self.embed()
+        if abs(abs(z) - 1.0) > 1e-9:
             return None
         bound = math.lcm(2, self.order)
+        j = round(cmath.phase(z) * bound / math.tau) % bound
+        if self == torsion_root(self.order, j):
+            return bound // math.gcd(bound, j)
         if (self ** bound) != 1:
             return None
         order = bound
@@ -577,3 +585,14 @@ def root_of_unity(order: int, power: int = 1) -> CycNum:
     if order < 1:
         raise ValueError("order must be a positive integer")
     return CycNum.from_powers(order, {power % order: 1})
+
+
+def torsion_root(order: int, power: int) -> CycNum:
+    """zeta_L**power, L = lcm(2, order), written at `order`.
+
+    For odd N, zeta_2N = -zeta_N^((N+1)/2).
+    """
+    if order % 2 == 0:
+        return root_of_unity(order, power)
+    value = root_of_unity(order, power * (order + 1) // 2)
+    return -value if power % 2 else value

@@ -20,6 +20,9 @@ at (s, t), and the invariant fields are then spanned by m + w.m.
 
 The generic scan by Reynolds averaging (method "reynolds") shares none of
 this and is kept as the independent oracle of the tests and the benchmark.
+It averages each Laurent monomial field once: the space at degree D is
+spanned by the averages of x^a y^(2-a) for -D <= a <= D+2, so each degree
+adds two monomials per component to those of the degree below.
 """
 
 from __future__ import annotations
@@ -192,8 +195,9 @@ def find_superflow(
     field, so the verdict is "none" for any group.  Otherwise the group must
     be monomial.  method "character" solves each component's survivor
     congruences once and takes the class members of least degree D(a);
-    "reynolds", the independent oracle, scans degrees upward and merges the
-    averaged spaces over every denominator x^l y^(deg-l) at each degree.
+    "reynolds", the independent oracle, scans degrees upward and eliminates
+    the group averages of every Laurent monomial x^a y^(2-a) with
+    -deg <= a <= deg+2, the span of every denominator x^l y^(deg-l).
     The least degree is at most n/2, n = lcm(2, conductor), where every
     residue of a has been seen; max_denom_degree (at least 0) caps it.
     """
@@ -210,9 +214,13 @@ def find_superflow(
     last = period_degree if max_denom_degree is None else min(max_denom_degree, period_degree)
     bound = last if last < period_degree else None
     if method == "reynolds":
+        averages = []
         for deg in range(last + 1):
-            basis = _eliminate([f for lx in range(deg + 1)
-                                for f in invariant_space(group, lx, deg - lx)])
+            # degree deg adds to the span only x^a y^(2-a) with a = -deg and deg + 2
+            new = (0, 1, 2) if deg == 0 else (-deg, deg + 2)
+            averages += [reynolds_average(group, _laurent_monomial(component, a))
+                         for component in (0, 1) for a in new]
+            basis = _eliminate(averages)
             if basis:
                 if len(basis) == 1:
                     return SuperflowVerdict("superflow", basis[0], deg, 1)

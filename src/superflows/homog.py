@@ -17,6 +17,7 @@ eval_* helpers.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -210,6 +211,16 @@ class RatVF:
         raise AttributeError("RatVF is immutable")
 
     @staticmethod
+    def _raw(num_x: HomPoly, num_y: HomPoly, lx: int, ly: int) -> "RatVF":
+        """A field whose numerators are already canonical over x^lx y^ly."""
+        obj = object.__new__(RatVF)
+        object.__setattr__(obj, "num_x", num_x)
+        object.__setattr__(obj, "num_y", num_y)
+        object.__setattr__(obj, "lx", lx)
+        object.__setattr__(obj, "ly", ly)
+        return obj
+
+    @staticmethod
     def zero() -> "RatVF":
         return RatVF(HomPoly.zero(2), HomPoly.zero(2))
 
@@ -334,11 +345,14 @@ class RatVF:
         and swaps the denominator exponents.  The factors depend only on L
         and the field's shape (numerator degree, lx), so L builds them once
         per shape, in its `_factors` slot, and every later field of that
-        shape reuses them.  Any other invertible L needs a trivial
-        denominator and takes the generic branch, which substitutes L into
-        the numerators with HomPoly.compose_linear; with a nontrivial
-        denominator the image denominator would not be a monomial, and
-        NonMonomialDenominatorError is raised.
+        shape reuses them.  The factors are nonzero, so the image keeps the
+        support and the cancelled denominator of this field: a zero
+        coefficient is multiplied by nothing, and the image is not rescanned.
+        Any other invertible L needs a trivial denominator and takes the
+        generic branch, which substitutes L into the numerators with
+        HomPoly.compose_linear; with a nontrivial denominator the image
+        denominator would not be a monomial, and NonMonomialDenominatorError
+        is raised.
         """
         diagonal = L.is_diagonal()
         if diagonal or L.is_antidiagonal():
@@ -367,11 +381,14 @@ class RatVF:
                 for _ in range(deg - lx):
                     e.append(e[-1] * up)
                 e = L._factors[deg, lx] = tuple(e)
-            cx = [u * f for u, f in zip(self.num_x.coeffs, e)]
-            cy = [v * f for v, f in zip(self.num_y.coeffs, e[1:])]
+            # a zero slot gets the zero that the full product would label
+            cx = [CycNum.zero(math.lcm(u.order, f.order)) if u.is_zero() else u * f
+                  for u, f in zip(self.num_x.coeffs, e)]
+            cy = [CycNum.zero(math.lcm(v.order, f.order)) if v.is_zero() else v * f
+                  for v, f in zip(self.num_y.coeffs, e[1:])]
             if diagonal:
-                return RatVF(HomPoly(deg, cx), HomPoly(deg, cy), lx, ly)
-            return RatVF(HomPoly(deg, cy[::-1]), HomPoly(deg, cx[::-1]), ly, lx)
+                return RatVF._raw(HomPoly(deg, cx), HomPoly(deg, cy), lx, ly)
+            return RatVF._raw(HomPoly(deg, cy[::-1]), HomPoly(deg, cx[::-1]), ly, lx)
         det = L.det()
         if det.is_zero():
             raise ZeroDivisionError("conjugating matrix is singular")

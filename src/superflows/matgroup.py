@@ -16,7 +16,7 @@ import math
 from functools import cached_property
 from itertools import combinations
 
-from .cyclotomic import CycNum, as_cycnum, root_of_unity
+from .cyclotomic import CycNum, as_cycnum, root_of_unity, torsion_root
 from .errors import CapExceededError
 
 __all__ = [
@@ -352,12 +352,8 @@ class MonomialGroup(FiniteMatrixGroup):
         return list(logs)
 
     def root(self, k: int) -> CycNum:
-        """zeta_n^k at the group's conductor c; for odd c, zeta_2c = -zeta_c^((c+1)/2)."""
-        c = self.conductor
-        if self.n == c:
-            return root_of_unity(c, k)
-        value = root_of_unity(c, k * (c + 1) // 2)
-        return -value if k % 2 else value
+        """zeta_n^k at the group's conductor."""
+        return torsion_root(self.conductor, k)
 
     def _matrix(self, triple) -> Mat2:
         kind, s, t = triple

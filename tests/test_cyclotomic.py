@@ -12,6 +12,7 @@ from superflows.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     root_of_unity,
+    torsion_root,
 )
 from superflows.homog import HomPoly
 from superflows.matgroup import Mat2
@@ -115,6 +116,45 @@ def test_multiplicative_order_of_powers():
     for n in (6, 9, 12, 14):
         for j in range(1, n):
             assert root_of_unity(n, j).multiplicative_order() == n // math.gcd(n, j)
+
+
+def _count_powers(monkeypatch) -> list:
+    powers, power = [], CycNum.__pow__
+
+    def counting_pow(self, exponent):
+        powers.append(exponent)
+        return power(self, exponent)
+
+    monkeypatch.setattr(CycNum, "__pow__", counting_pow)
+    return powers
+
+
+def test_roots_of_unity_take_their_order_without_a_power(monkeypatch):
+    # -zeta_n^j = zeta_2n^(2j + n), a root of order 2n / gcd(2n, 2j + n)
+    powers = _count_powers(monkeypatch)
+    for n in range(1, 31):
+        for j in range(n):
+            z = root_of_unity(n, j)
+            assert z.multiplicative_order() == n // math.gcd(n, j)
+            assert (-z).multiplicative_order() == 2 * n // math.gcd(2 * n, 2 * j + n)
+    assert powers == []
+
+
+def test_modulus_one_without_finite_order_takes_the_exact_route(monkeypatch):
+    # (3 + 4i)/5 passes the modulus filter, fails the phase candidate, and
+    # the exact power test then finds no order
+    powers = _count_powers(monkeypatch)
+    assert CycNum(4, [Fraction(3, 5), Fraction(4, 5)]).multiplicative_order() is None
+    assert powers
+
+
+def test_torsion_root_is_the_root_of_the_even_order():
+    for n in range(1, 16):
+        bound = math.lcm(2, n)
+        for k in range(-bound, 2 * bound):
+            root = torsion_root(n, k)
+            assert root.order == n
+            assert root == root_of_unity(bound, k)
 
 
 def test_zero_is_one_shared_instance_per_order():

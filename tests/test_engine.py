@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from monomial_groups import diag, monomial_generators
 
+from superflows import engine
 from superflows.cyclotomic import CycNum, root_of_unity
 from superflows.engine import (
     _eliminate,
@@ -272,6 +273,35 @@ def test_invariant_space_character_matches_oracle_with_antidiagonals():
             assert all(f.conjugate(g) == f for f in space for g in group)
 
 
+@pytest.mark.parametrize("generators", monomial_generators())
+def test_oracle_averages_each_laurent_monomial_once(generators, monkeypatch):
+    # degree D adds only x^a y^(2-a) with a = -D and D + 2 to the span of
+    # degree D - 1, so the scan to D averages 2 (2D + 3) monomials, and it
+    # gives the merge over every denominator x^lx y^(D-lx) of each degree
+    group = generate_group(generators)
+    averaged = []
+    average = engine.reynolds_average
+
+    def counting_average(g, field):
+        averaged.append(field)
+        return average(g, field)
+
+    monkeypatch.setattr(engine, "reynolds_average", counting_average)
+    verdict = find_superflow(group, method="reynolds")
+    monkeypatch.undo()
+    assert not verdict.shortcut_used
+    last = verdict.denom_degree
+    if last is None:
+        last = MonomialGroup.from_matrices(group.generators).n // 2
+    assert len(averaged) == 2 * (2 * last + 3)
+    assert len({f.to_text() for f in averaged}) == len(averaged)
+    assert all(_reynolds_space(group, deg) == [] for deg in range(last))
+    merged = _reynolds_space(group, last)
+    assert verdict.dimension == len(merged)
+    if verdict.status == "superflow":
+        assert [verdict.field] == merged
+
+
 @pytest.mark.parametrize("m", range(3, 13))
 def test_character_scan_matches_oracle_with_the_swap(m):
     # <alpha(m), tau>: the oracle averages over the Mat2 closure
@@ -284,9 +314,7 @@ def test_character_scan_matches_oracle_with_the_swap(m):
 @settings(derandomize=True, deadline=None, max_examples=200,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
-    # conductors up to 8 but 7: at n = 14 the oracle takes up to 2.4 s for one
-    # group (Python 3.11 on one Intel Xeon core)
-    st.sampled_from([1, 2, 3, 4, 5, 6, 8]),
+    st.integers(1, 8),
     st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=2),
     # no antidiagonal, any antidiagonal, or one with w^2 = I, where swap superflows live
     st.none() | st.tuples(st.integers(0, 15), st.integers(0, 15))

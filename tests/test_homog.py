@@ -7,7 +7,6 @@ import pytest
 
 from superflows import cyclotomic
 from superflows.cyclotomic import CycNum, root_of_unity
-from superflows.engine import _laurent_monomial
 from superflows.errors import NonMonomialDenominatorError, SingularPointError
 from superflows.flows import catalog, nonalgebraic_field
 from superflows.homog import HomPoly, RatVF, monomial_field, reynolds_average
@@ -254,36 +253,66 @@ def test_second_conjugation_of_a_shape_inverts_nothing(monkeypatch):
 
 
 def test_oracle_products_skip_zero_convolutions(monkeypatch):
-    # a product with a zero operand must return before any lift or convolution
-    events = []
+    # monomial conjugation sends no zero coefficient to __mul__, so it lifts
+    # and folds only inside products of nonzero operands; every slot, zeros
+    # included, carries the key of the full product with its factor e[k]
+    events, depth = [], [0]
     fold, lift, mul = cyclotomic._fold_table, CycNum.lift, CycNum.__mul__
 
     def counting_fold(n):
-        events.append("fold")
+        if not depth[0]:
+            events.append("fold")
         return fold(n)
 
     def counting_lift(self, order):
-        events.append("lift")
+        if not depth[0]:
+            events.append("lift")
         return lift(self, order)
 
-    zero_calls, past_short_circuit = [], []
-
     def counting_mul(a, b):
-        before = len(events)
-        out = mul(a, b)
-        if isinstance(b, CycNum) and (a.is_zero() or b.is_zero()):
-            zero_calls.append(1)
-            if len(events) > before:
-                past_short_circuit.append((a, b))
-        return out
+        if a.is_zero() or (isinstance(b, CycNum) and b.is_zero()):
+            events.append("zero operand")
+        depth[0] += 1
+        try:
+            return mul(a, b)
+        finally:
+            depth[0] -= 1
 
+    rng = random.Random(71)
+    matrices = [tau(), alpha_matrix(7), Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0),
+                Mat2.diagonal(CycNum(4, [Fraction(3, 5), Fraction(4, 5)]), root_of_unity(12, 5))]
+    zero_slots = 0
+    for L in matrices:
+        for shape in ((0, 0), (2, 1), (1, 3)):
+            v = _sparse_field(rng, *shape)
+            if v.is_zero:
+                continue
+            lx, ly = v.lx, v.ly
+            v.conjugate(L)  # L keeps this shape's factors
+            monkeypatch.setattr(cyclotomic, "_fold_table", counting_fold)
+            monkeypatch.setattr(CycNum, "lift", counting_lift)
+            monkeypatch.setattr(CycNum, "__mul__", counting_mul)
+            monkeypatch.setattr(CycNum, "__rmul__", counting_mul)
+            image = v.conjugate(L)
+            monkeypatch.undo()
+            assert events == []
+            e = L._factors[v.num_x.degree, lx]
+            slots = list(zip(v.num_x.coeffs, e)) + list(zip(v.num_y.coeffs, e[1:]))
+            if L.is_diagonal():
+                assert (image.lx, image.ly) == (lx, ly)
+                got = image.num_x.coeffs + image.num_y.coeffs
+            else:
+                assert (image.lx, image.ly) == (ly, lx)
+                got = image.num_y.coeffs[::-1] + image.num_x.coeffs[::-1]
+            assert [c.key() for c in got] == [(u * f).key() for u, f in slots]
+            zero_slots += sum(u.is_zero() for u, _ in slots)
+    assert zero_slots
+    # a zero operand that does reach __mul__ returns before any lift or fold
     monkeypatch.setattr(cyclotomic, "_fold_table", counting_fold)
     monkeypatch.setattr(CycNum, "lift", counting_lift)
-    monkeypatch.setattr(CycNum, "__mul__", counting_mul)
-    monkeypatch.setattr(CycNum, "__rmul__", counting_mul)
-    reynolds_average(alpha_group(7), _laurent_monomial(0, 3))
-    _dense_polynomial_field(random.Random(47), 7).conjugate(tau())
-    assert zero_calls and not past_short_circuit
+    for x, y in ((CycNum.zero(3), root_of_unity(4)), (root_of_unity(4), CycNum.zero(3))):
+        assert (x * y).key() == CycNum.zero(12).key()
+    assert events == []
 
 
 def _sparse_field(rng, lx: int, ly: int) -> RatVF:
