@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycNum
-from .homog import RatVF, HomPoly, common_denominator, monomial_field, reynolds_average
+from .cyclotomic import CycNum, as_cycnum
+from .homog import RatVF, monomial_field, reynolds_average
 from .matgroup import FiniteMatrixGroup, MonomialGroup, alpha_group
 
 __all__ = [
@@ -87,47 +87,47 @@ def _least_survivors(group: MonomialGroup):
 
 def _laurent_monomial(component: int, a: int, coeff=1) -> RatVF:
     """coeff x^a y^(2-a) in one component, over its minimal monomial denominator."""
-    lx, ly = max(-a, 0), max(a - 2, 0)
-    return monomial_field(component, a + lx, lx, ly, coeff)
+    return RatVF.from_terms(((component, a, as_cycnum(coeff)),))
+
+
+def _subtract(row: dict, factor: CycNum, other: dict) -> dict:
+    """row - factor * other over (component, a), without the keys that cancel."""
+    out = dict(row)
+    for key, p in other.items():
+        v = out.get(key, CycNum.zero()) - factor * p
+        if v.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = v
+    return out
 
 
 def _eliminate(fields: list[RatVF]) -> list[RatVF]:
     """Exact reduced-row-echelon basis, as canonical normalized fields.
 
-    Fields are embedded into the coordinate space of a common monomial
-    denominator; the output depends only on the span.
+    Each field is a row over the columns (component, a), its Laurent
+    monomials x^a y^(2-a), and a row's pivot is its least key: the order of
+    the terms, first component first, ascending power of x.  Only nonzero
+    entries are stored.  The output depends only on the span.
     """
-    fields = [f for f in fields if not f.is_zero]
-    if not fields:
-        return []
-    lx, ly, vectors = common_denominator(fields)
-    deg = lx + ly + 2
-    width = 2 * (deg + 1)
-
-    rows: list[tuple[int, list[CycNum]]] = []  # (pivot column, unit-pivot row)
-    for vec in vectors:
+    rows: list[tuple[tuple[int, int], dict]] = []  # (pivot column, unit-pivot row)
+    for field in fields:
+        vec = {(component, a): c for component, a, c in field.terms}
         for col, prow in rows:
-            if not vec[col].is_zero():
-                factor = vec[col]
-                vec = [v - factor * p for v, p in zip(vec, prow)]
-        pivot = next((j for j in range(width) if not vec[j].is_zero()), None)
-        if pivot is None:
+            if col in vec:
+                vec = _subtract(vec, vec[col], prow)
+        if not vec:
             continue
+        pivot = min(vec)
         inv = vec[pivot].inverse()
-        vec = [v * inv for v in vec]
+        vec = {key: v * inv for key, v in vec.items()}
         for idx, (col, prow) in enumerate(rows):
-            if not prow[pivot].is_zero():
-                factor = prow[pivot]
-                rows[idx] = (col, [p - factor * v for p, v in zip(prow, vec)])
+            if pivot in prow:
+                rows[idx] = (col, _subtract(prow, prow[pivot], vec))
         rows.append((pivot, vec))
     rows.sort(key=lambda item: item[0])
-
-    basis = []
-    for _, vec in rows:
-        nx = HomPoly(deg, vec[: deg + 1])
-        ny = HomPoly(deg, vec[deg + 1 :])
-        basis.append(RatVF(nx, ny, lx, ly).normalized())
-    return basis
+    return [RatVF.from_terms((*key, vec[key]) for key in sorted(vec)).normalized()
+            for _, vec in rows]
 
 
 def invariant_space(group: FiniteMatrixGroup, lx: int, ly: int) -> list[RatVF]:

@@ -1,23 +1,25 @@
-"""Homogeneous bivariate polynomials and 2-homogeneous rational vector fields.
+"""2-homogeneous rational vector fields, stored as their nonzero Laurent terms.
 
-A HomPoly of degree d stores the coefficient of x^i y^(d-i) at index i.  A
-RatVF is a pair of numerators over one shared monomial denominator
-x^lx y^ly, with numerator degree minus lx minus ly equal to 2, so both
-components are 2-homogeneous rational functions.
+A RatVF is the sorted tuple of its nonzero terms (component, a, c): c is
+the coefficient of x^a y^(2-a) in the first (component 0) or the second
+(component 1) component, and the terms ascend in (component, a).  The
+shared monomial denominator x^lx y^ly is read off the exponents,
+lx = max(0, -min a) and ly = max(0, max a - 2), so a field is canonical up
+to a scalar as it is built, and the zero field is the empty tuple.  A zero
+is never stored, so it carries no order label: the label of a coefficient
+is the lcm of the labels of the nonzero terms summed into it.
 
-Construction always cancels the monomial gcd between numerators and
-denominator, so representations are canonical up to a scalar;
-RatVF.normalized() additionally scales the first nonzero coefficient (in lex
-order, first component before second, ascending power of x) to one.  The
-zero field is kept as an explicit object and never normalized.
+A HomPoly of degree d holds the coefficient of x^i y^(d-i) at index i.  It
+is only the dense input form: RatVF(num_x, num_y, lx, ly) reads two of
+them over x^lx y^ly, so the term at index i has a = i - lx.
+RatVF.normalized() scales the first term's coefficient to one.
 
-Everything in this module is exact; floating point appears only in the
-eval_* helpers.
+Everything in this module is exact; floating point appears only in
+eval_field.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -25,24 +27,20 @@ from .cyclotomic import CycNum, as_cycnum
 from .errors import NonMonomialDenominatorError, SingularPointError
 from .matgroup import Mat2
 
-__all__ = ["HomPoly", "RatVF", "common_denominator", "monomial_field", "reynolds_average"]
+__all__ = ["HomPoly", "RatVF", "monomial_field", "reynolds_average"]
 
 
 class HomPoly:
-    """A homogeneous polynomial in x, y with CycNum coefficients."""
+    """A homogeneous polynomial in x, y with CycNum coefficients, dense by index."""
 
-    __slots__ = ("degree", "coeffs", "_embedded")
+    __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, coeffs):
         coeffs = tuple(c if c.__class__ is CycNum else as_cycnum(c) for c in coeffs)
         if degree < 0 or len(coeffs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_embedded", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HomPoly is immutable")
+        self.degree = degree
+        self.coeffs = coeffs
 
     @staticmethod
     def zero(degree: int) -> "HomPoly":
@@ -50,103 +48,18 @@ class HomPoly:
 
     @staticmethod
     def monomial(degree: int, i: int, coeff=1) -> "HomPoly":
+        if not 0 <= i <= degree:
+            raise ValueError("monomial index out of range")
         vec = [CycNum.zero()] * (degree + 1)
         vec[i] = as_cycnum(coeff)
         return HomPoly(degree, vec)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        return self.degree == other.degree and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    __hash__ = None
-
-    def __add__(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return HomPoly(self.degree, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return HomPoly(self.degree, [-c for c in self.coeffs])
-
-    def scale(self, factor) -> "HomPoly":
-        f = as_cycnum(factor)
-        return HomPoly(self.degree, [c * f for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        out = [CycNum.zero() for _ in range(self.degree + other.degree + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return HomPoly(self.degree + other.degree, out)
-
-    def min_exponents(self):
-        """(min power of x, min power of y) over nonzero monomials; None if zero."""
-        idx = [i for i, c in enumerate(self.coeffs) if not c.is_zero()]
-        if not idx:
-            return None
-        return (min(idx), min(self.degree - i for i in idx))
-
-    def divide_monomial(self, dx: int, dy: int) -> "HomPoly":
-        """Exact division by x^dx y^dy (every nonzero term must be divisible)."""
-        me = self.min_exponents()
-        if me is not None and (me[0] < dx or me[1] < dy):
-            raise ValueError("polynomial is not divisible by the monomial")
-        deg = self.degree - dx - dy
-        return HomPoly(deg, [self.coeffs[i + dx] for i in range(deg + 1)])
-
-    def compose_linear(self, a, b, c, d) -> "HomPoly":
-        """P(a*x + b*y, c*x + d*y), exact."""
-        a, b, c, d = (as_cycnum(v) for v in (a, b, c, d))
-        deg = self.degree
-        row1 = HomPoly(1, [b, a])
-        row2 = HomPoly(1, [d, c])
-        pow1 = [HomPoly(0, [1])]
-        pow2 = [HomPoly(0, [1])]
-        for _ in range(deg):
-            pow1.append(pow1[-1] * row1)
-            pow2.append(pow2[-1] * row2)
-        total = HomPoly.zero(deg)
-        for i, u in enumerate(self.coeffs):
-            if not u.is_zero():
-                total = total + (pow1[i] * pow2[deg - i]).scale(u)
-        return total
-
-    def embedded_coeffs(self):
-        if self._embedded is None:
-            object.__setattr__(self, "_embedded", tuple(c.embed() for c in self.coeffs))
-        return self._embedded
-
-    def to_text(self) -> str:
-        terms = [
-            "{%s}*x^%d*y^%d" % (c.to_text(), i, self.degree - i)
-            for i, c in enumerate(self.coeffs)
-            if not c.is_zero()
-        ]
-        return " + ".join(terms) if terms else "0"
-
-    def __repr__(self):
-        return f"HomPoly({self.to_text()})"
 
 
 _POLY_TERM_RE = re.compile(r"\{([^}]*)\}\*x\^(\d+)\*y\^(\d+)")
 
 
 def _parse_poly(text: str):
-    """Parse the exact to_text() form; returns (degree, {i: CycNum})."""
+    """Parse one component of the to_text() form; returns (degree, {i: CycNum}), or None for "0"."""
     text = text.strip()
     if text == "0":
         return None
@@ -171,15 +84,15 @@ def _parse_poly(text: str):
 class RatVF:
     """A 2-homogeneous rational vector field P/x^lx y^ly . Q/x^lx y^ly.
 
-    The shared denominator is a monomial; general relative-invariant
-    denominators are out of scope because the minimal non-monomial
-    candidates have far higher degree than anything the decision procedure
-    scans.  The constructor cancels the monomial gcd, so (lx, ly) is minimal
-    for the stored numerators, and the zero field is the canonical pair of
-    zero numerators over denominator 1.
+    `terms` holds the nonzero coefficients as (component, a, c), c the
+    coefficient of x^a y^(2-a), in ascending (component, a); lx and ly are
+    the least exponents that clear every term.  The shared denominator is a
+    monomial; general relative-invariant denominators are out of scope
+    because the minimal non-monomial candidates have far higher degree than
+    anything the decision procedure scans.
     """
 
-    __slots__ = ("num_x", "num_y", "lx", "ly")
+    __slots__ = ("terms", "lx", "ly", "_embedded")
 
     def __init__(self, num_x: HomPoly, num_y: HomPoly, lx: int = 0, ly: int = 0):
         if lx < 0 or ly < 0:
@@ -188,45 +101,30 @@ class RatVF:
             raise ValueError("numerators must share one degree")
         if num_x.degree - lx - ly != 2:
             raise ValueError("components must be 2-homogeneous")
-        if num_x.is_zero() and num_y.is_zero():
-            num_x = num_y = HomPoly.zero(2)
-            lx = ly = 0
-        else:
-            mex = num_x.min_exponents()
-            mey = num_y.min_exponents()
-            big = num_x.degree
-            cancel_x = min(lx, mex[0] if mex else big, mey[0] if mey else big)
-            cancel_y = min(ly, mex[1] if mex else big, mey[1] if mey else big)
-            if cancel_x or cancel_y:
-                num_x = num_x.divide_monomial(cancel_x, cancel_y)
-                num_y = num_y.divide_monomial(cancel_x, cancel_y)
-                lx -= cancel_x
-                ly -= cancel_y
-        object.__setattr__(self, "num_x", num_x)
-        object.__setattr__(self, "num_y", num_y)
-        object.__setattr__(self, "lx", lx)
-        object.__setattr__(self, "ly", ly)
+        _set_terms(self, tuple(
+            (component, i - lx, c)
+            for component, poly in enumerate((num_x, num_y))
+            for i, c in enumerate(poly.coeffs)
+            if not c.is_zero()
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatVF is immutable")
 
     @staticmethod
-    def _raw(num_x: HomPoly, num_y: HomPoly, lx: int, ly: int) -> "RatVF":
-        """A field whose numerators are already canonical over x^lx y^ly."""
-        obj = object.__new__(RatVF)
-        object.__setattr__(obj, "num_x", num_x)
-        object.__setattr__(obj, "num_y", num_y)
-        object.__setattr__(obj, "lx", lx)
-        object.__setattr__(obj, "ly", ly)
-        return obj
+    def from_terms(terms) -> "RatVF":
+        """The field with these terms: nonzero (component, a, c), one per key, in ascending (component, a)."""
+        field = object.__new__(RatVF)
+        _set_terms(field, tuple(terms))
+        return field
 
     @staticmethod
     def zero() -> "RatVF":
-        return RatVF(HomPoly.zero(2), HomPoly.zero(2))
+        return RatVF.from_terms(())
 
     @property
     def is_zero(self) -> bool:
-        return self.num_x.is_zero() and self.num_y.is_zero()
+        return not self.terms
 
     @property
     def denom_degree(self) -> int:
@@ -235,12 +133,7 @@ class RatVF:
     def __eq__(self, other):
         if not isinstance(other, RatVF):
             return NotImplemented
-        return (
-            self.lx == other.lx
-            and self.ly == other.ly
-            and self.num_x == other.num_x
-            and self.num_y == other.num_y
-        )
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -250,24 +143,25 @@ class RatVF:
         f = as_cycnum(factor)
         if f.is_zero():
             return RatVF.zero()
-        return RatVF(self.num_x.scale(f), self.num_y.scale(f), self.lx, self.ly)
+        return RatVF.from_terms((component, a, c * f) for component, a, c in self.terms)
 
     @staticmethod
     def sum(fields) -> "RatVF":
-        """The exact sum of fields, with one cancellation for the whole sum.
+        """The exact sum of fields: one CycNum.sum per (component, a).
 
         Zero fields are skipped and a lone nonzero field comes back as it is.
-        Otherwise every field is written over their common denominator, and
-        each coefficient slot is one CycNum.sum of its column, so the orders
-        match a pairwise + fold.
+        Otherwise each Laurent monomial's nonzero coefficients are summed in
+        field order, and a total that cancels is dropped.
         """
-        fields = [f for f in fields if not f.is_zero]
+        fields = [f for f in fields if f.terms]
         if len(fields) < 2:
             return fields[0] if fields else RatVF.zero()
-        lx, ly, vectors = common_denominator(fields)
-        total = [CycNum.sum(col) for col in zip(*vectors)]
-        deg = lx + ly + 2
-        return RatVF(HomPoly(deg, total[: deg + 1]), HomPoly(deg, total[deg + 1 :]), lx, ly)
+        columns = {}
+        for f in fields:
+            for component, a, c in f.terms:
+                columns.setdefault((component, a), []).append(c)
+        totals = ((key, CycNum.sum(columns[key])) for key in sorted(columns))
+        return RatVF.from_terms((*key, c) for key, c in totals if not c.is_zero())
 
     def __add__(self, other):
         if not isinstance(other, RatVF):
@@ -280,12 +174,10 @@ class RatVF:
         return self + other.scale(-1)
 
     def leading_coeff(self) -> CycNum:
-        """First nonzero coefficient in lex order (num_x then num_y, ascending i)."""
-        for poly in (self.num_x, self.num_y):
-            for c in poly.coeffs:
-                if not c.is_zero():
-                    return c
-        raise ValueError("zero field has no leading coefficient")
+        """The first term's coefficient (first component first, ascending power of x)."""
+        if not self.terms:
+            raise ValueError("zero field has no leading coefficient")
+        return self.terms[0][2]
 
     def normalized(self) -> "RatVF":
         """Scalar-canonical form: leading coefficient scaled to one.
@@ -297,9 +189,7 @@ class RatVF:
         if self.is_zero:
             return self
         lead = self.leading_coeff()
-        if lead == 1 and all(
-            c.order % lead.order == 0 for poly in (self.num_x, self.num_y) for c in poly.coeffs
-        ):
+        if lead == 1 and all(c.order % lead.order == 0 for _, _, c in self.terms):
             return self
         return self.scale(lead.inverse())
 
@@ -308,31 +198,32 @@ class RatVF:
     def eval_field(self, point):
         """Numeric value at a complex 2-vector; raises on the denominator locus.
 
-        Both numerators read one table of x^i and one of y^j per point.
+        Both components read one table of x^i and one of y^j per point, and
+        each sums its terms in ascending i.
         """
         x, y = complex(point[0]), complex(point[1])
+        lx, ly = self.lx, self.ly
         denom = 1 + 0j
-        if self.lx:
+        if lx:
             if x == 0:
                 raise SingularPointError("denominator vanishes: x = 0")
-            denom *= x ** self.lx
-        if self.ly:
+            denom *= x ** lx
+        if ly:
             if y == 0:
                 raise SingularPointError("denominator vanishes: y = 0")
-            denom *= y ** self.ly
+            denom *= y ** ly
+        deg = lx + ly + 2
         xpows, ypows = [1 + 0j], [1 + 0j]
-        for _ in range(self.num_x.degree):
+        for _ in range(deg):
             xpows.append(xpows[-1] * x)
             ypows.append(ypows[-1] * y)
-        fx = fy = 0j
-        for cx, cy, xp, yp in zip(
-            self.num_x.embedded_coeffs(), self.num_y.embedded_coeffs(), xpows, reversed(ypows)
-        ):
-            if cx:
-                fx += cx * xp * yp
-            if cy:
-                fy += cy * xp * yp
-        return fx / denom, fy / denom
+        if self._embedded is None:
+            object.__setattr__(self, "_embedded", tuple(c.embed() for _, _, c in self.terms))
+        f = [0j, 0j]
+        for (component, a, _), c in zip(self.terms, self._embedded):
+            i = a + lx
+            f[component] += c * xpows[i] * ypows[deg - i]
+        return f[0] / denom, f[1] / denom
 
     # -- group action ------------------------------------------------------
 
@@ -340,19 +231,15 @@ class RatVF:
         """Exact L^(-1) o V o L.
 
         A diagonal or antidiagonal L, whatever the denominator, takes the
-        monomial branch: each coefficient is multiplied by one factor from a
-        running product, and an antidiagonal L also reverses the coefficients
-        and swaps the denominator exponents.  The factors depend only on L
-        and the field's shape (numerator degree, lx), so L builds them once
-        per shape, in its `_factors` slot, and every later field of that
-        shape reuses them.  The factors are nonzero, so the image keeps the
-        support and the cancelled denominator of this field: a zero
-        coefficient is multiplied by nothing, and the image is not rescanned.
-        Any other invertible L needs a trivial denominator and takes the
-        generic branch, which substitutes L into the numerators with
-        HomPoly.compose_linear; with a nontrivial denominator the image
-        denominator would not be a monomial, and NonMonomialDenominatorError
-        is raised.
+        monomial branch.  diag(s, t) multiplies the term (c, a) by
+        e[k] = s^k t^(1-k), k = a - 1 + c; antidiag(s, t) applies the same
+        factor and sends the term to (1 - c, 2 - a), which reverses the term
+        order.  L keeps its factors, keyed by k, in its `_factors` slot, so
+        every later field reuses them.  Any other invertible L needs a
+        trivial denominator and takes the generic branch, which substitutes
+        L into the at most six terms; with a nontrivial denominator the
+        image denominator would not be a monomial, and
+        NonMonomialDenominatorError is raised.
         """
         diagonal = L.is_diagonal()
         if diagonal or L.is_antidiagonal():
@@ -361,34 +248,16 @@ class RatVF:
                 raise ZeroDivisionError("conjugating matrix is singular")
             if self.is_zero:
                 return self
-            deg, lx, ly = self.num_x.degree, self.lx, self.ly
-            # e[k] = s^(k-lx-1) t^(deg-k-ly) for 0 <= k <= deg+1.  For
-            # L = diag(s, t) the coefficients of x^i y^(deg-i) map as
-            # u_i -> u_i e[i] and v_i -> v_i e[i+1].  For L = antidiag(s, t),
-            # x -> s*y and y -> t*x, so u_i -> u_i e[i] lands in the second
-            # component and v_i -> v_i e[i+1] in the first, both at the
-            # x^(deg-i) y^i slot.  e[lx+1] = t, and e steps by s/t upward.
-            # ly = deg - lx - 2, so (deg, lx) fixes e; L keeps it.
-            if L._factors is None:
-                object.__setattr__(L, "_factors", {})
-            e = L._factors.get((deg, lx))
-            if e is None:
-                down, up = t * s.inverse(), s * t.inverse()
-                e = [t]
-                for _ in range(lx + 1):
-                    e.append(e[-1] * down)
-                e.reverse()
-                for _ in range(deg - lx):
-                    e.append(e[-1] * up)
-                e = L._factors[deg, lx] = tuple(e)
-            # a zero slot gets the zero that the full product would label
-            cx = [CycNum.zero(math.lcm(u.order, f.order)) if u.is_zero() else u * f
-                  for u, f in zip(self.num_x.coeffs, e)]
-            cy = [CycNum.zero(math.lcm(v.order, f.order)) if v.is_zero() else v * f
-                  for v, f in zip(self.num_y.coeffs, e[1:])]
+            # x -> s x, y -> t y takes c x^a y^(2-a) in the first component
+            # to c s^(a-1) t^(2-a) x^a y^(2-a), and in the second to
+            # c s^a t^(1-a) x^a y^(2-a).  antidiag(s, t) takes x -> s y and
+            # y -> t x and swaps the components, with the same factors.
+            ks = [a - 1 + component for component, a, _ in self.terms]
+            e = _monomial_factors(L, s, t, min(ks), max(ks))
+            terms = [(component, a, c * e[k]) for (component, a, c), k in zip(self.terms, ks)]
             if diagonal:
-                return RatVF._raw(HomPoly(deg, cx), HomPoly(deg, cy), lx, ly)
-            return RatVF._raw(HomPoly(deg, cy[::-1]), HomPoly(deg, cx[::-1]), ly, lx)
+                return RatVF.from_terms(terms)
+            return RatVF.from_terms((1 - component, 2 - a, c) for component, a, c in reversed(terms))
         det = L.det()
         if det.is_zero():
             raise ZeroDivisionError("conjugating matrix is singular")
@@ -399,27 +268,36 @@ class RatVF:
                 "conjugation image denominator is not monomial: matrix is neither "
                 "diagonal nor antidiagonal and the field has a nontrivial denominator"
             )
-        px = self.num_x.compose_linear(L.a, L.b, L.c, L.d)
-        qy = self.num_y.compose_linear(L.a, L.b, L.c, L.d)
+        # x^a y^(2-a) at (a x + b y, c x + d y) is the product of two linear
+        # forms, each written (coefficient of y, coefficient of x)
+        forms = ((L.d, L.c), (L.b, L.a))
+        images = ([[], [], []], [[], [], []])
+        for component, a, c in self.terms:
+            (p0, p1), (q0, q1) = forms[a >= 1], forms[a == 2]
+            for i, w in enumerate((p0 * q0, p0 * q1 + p1 * q0, p1 * q1)):
+                images[component][i].append(c * w)
+        px, qy = ([CycNum.sum(col) for col in image] for image in images)
         dinv = det.inverse()
-        new_x = (px.scale(L.d) - qy.scale(L.b)).scale(dinv)
-        new_y = (qy.scale(L.a) - px.scale(L.c)).scale(dinv)
-        return RatVF(new_x, new_y, 0, 0)
+        new_x = [(p * L.d - q * L.b) * dinv for p, q in zip(px, qy)]
+        new_y = [(q * L.a - p * L.c) * dinv for p, q in zip(px, qy)]
+        return RatVF(HomPoly(2, new_x), HomPoly(2, new_y))
 
     # -- text form ---------------------------------------------------------
 
-    def _denom_text(self) -> str:
-        return f"x^{self.lx}*y^{self.ly}"
-
     def to_text(self) -> str:
         """Exact round-trip form "P / x^a*y^b . Q / x^a*y^b" (bullet separator)."""
-        def comp(poly):
-            body = poly.to_text()
-            if poly.is_zero() or (self.lx == 0 and self.ly == 0):
-                return body
-            return f"{body} / {self._denom_text()}"
+        lx, ly = self.lx, self.ly
 
-        return f"{comp(self.num_x)} • {comp(self.num_y)}"
+        def comp(component):
+            body = " + ".join(
+                "{%s}*x^%d*y^%d" % (c.to_text(), a + lx, 2 - a + ly)
+                for k, a, c in self.terms if k == component
+            )
+            if not body:
+                return "0"
+            return f"{body} / x^{lx}*y^{ly}" if lx or ly else body
+
+        return f"{comp(0)} • {comp(1)}"
 
     @staticmethod
     def parse(text: str) -> "RatVF":
@@ -427,32 +305,34 @@ class RatVF:
         if len(halves) != 2:
             raise ValueError("expected exactly one bullet separator")
         parsed = []
-        denoms = []
+        denoms = set()
         for half in halves:
             half = half.strip()
             num_text, slash, denom_text = half.rpartition(" / ")
+            denom = (0, 0)
             if slash:
                 m = re.fullmatch(r"x\^(\d+)\*y\^(\d+)", denom_text.strip())
                 if not m:
                     raise ValueError(f"cannot parse denominator {denom_text!r}")
-                denoms.append((int(m.group(1)), int(m.group(2))))
+                denom = (int(m.group(1)), int(m.group(2)))
                 half = num_text.strip()
-            parsed.append(_parse_poly(half))
-        if denoms and len(set(denoms)) > 1:
+            poly = _parse_poly(half)
+            # a nonzero half with no denominator is over 1
+            if slash or poly is not None:
+                denoms.add(denom)
+            parsed.append(poly)
+        if len(denoms) > 1:
             raise ValueError("components must share one denominator")
-        lx, ly = denoms[0] if denoms else (0, 0)
-        deg = lx + ly + 2
-        polys = []
-        for p in parsed:
-            if p is None:
-                polys.append(HomPoly.zero(deg))
+        lx, ly = denoms.pop() if denoms else (0, 0)
+        terms = []
+        for component, poly in enumerate(parsed):
+            if poly is None:
                 continue
-            pdeg, terms = p
-            if pdeg != deg:
+            degree, coeffs = poly
+            if degree != lx + ly + 2:
                 raise ValueError("numerator degree does not match the denominator")
-            vec = [terms.get(i, CycNum.zero()) for i in range(deg + 1)]
-            polys.append(HomPoly(deg, vec))
-        return RatVF(polys[0], polys[1], lx, ly)
+            terms += [(component, i - lx, c) for i, c in sorted(coeffs.items()) if not c.is_zero()]
+        return RatVF.from_terms(terms)
 
     def pretty(self) -> str:
         """Human-oriented rendering such as "y^4/x^2 . 0" or "x^2+xy+y^2 . xy+y^2"."""
@@ -461,15 +341,12 @@ class RatVF:
                 return ""
             return sym if e == 1 else f"{sym}^{e}"
 
-        def comp(poly):
-            if poly.is_zero():
-                return "0"
+        def comp(component):
             pieces = []
-            for i in range(poly.degree, -1, -1):
-                c = poly.coeffs[i]
-                if c.is_zero():
+            for k, a, c in reversed(self.terms):
+                if k != component:
                     continue
-                mono = var("x", i) + var("y", poly.degree - i)
+                mono = var("x", a + self.lx) + var("y", 2 - a + self.ly)
                 if c == 1 and mono:
                     coeff = ""
                 elif c == -1 and mono:
@@ -480,6 +357,8 @@ class RatVF:
                 else:
                     coeff = "[" + c.to_text() + "]"
                 pieces.append((coeff + mono) if mono else (coeff or "1"))
+            if not pieces:
+                return "0"
             body = "+".join(pieces).replace("+-", "-")
             denom = var("x", self.lx) + var("y", self.ly)
             if denom:
@@ -488,26 +367,42 @@ class RatVF:
                 return f"{body}/{denom}"
             return body
 
-        return f"{comp(self.num_x)} • {comp(self.num_y)}"
+        return f"{comp(0)} • {comp(1)}"
 
     def __repr__(self):
         return f"RatVF({self.pretty()})"
 
 
-def common_denominator(fields) -> tuple[int, int, list[tuple]]:
-    """(lx, ly, vectors): the fields written over x^max(lx) y^max(ly).
+def _set_terms(field: RatVF, terms: tuple) -> None:
+    """Store canonical terms and the least denominator x^lx y^ly that clears them."""
+    exponents = [a for _, a, _ in terms] or [0]
+    object.__setattr__(field, "terms", terms)
+    object.__setattr__(field, "lx", max(0, -min(exponents)))
+    object.__setattr__(field, "ly", max(0, max(exponents) - 2))
+    object.__setattr__(field, "_embedded", None)
 
-    Each vector holds one field's numerator coefficients over that
-    denominator, the first component's then the second's, so all vectors
-    have length 2 (lx + ly + 3).
+
+def _monomial_factors(L: Mat2, s: CycNum, t: CycNum, lo: int, hi: int) -> dict:
+    """L's factors e[k] = s^k t^(1-k), kept on L and extended to cover lo <= k <= hi.
+
+    The keys always form one run of integers around e[0] = t: the factors
+    grow from t by s/t upward and by t/s downward.
     """
-    lx, ly = max(f.lx for f in fields), max(f.ly for f in fields)
-    pad = CycNum.zero()
-    vectors = []
-    for f in fields:
-        left, right = (pad,) * (lx - f.lx), (pad,) * (ly - f.ly)
-        vectors.append(left + f.num_x.coeffs + right + left + f.num_y.coeffs + right)
-    return lx, ly, vectors
+    e = L._factors
+    if e is None:
+        e = {0: t}
+        object.__setattr__(L, "_factors", e)
+    if lo not in e or hi not in e:
+        top, bottom = max(e), min(e)
+        if top < hi:
+            up = s * t.inverse()
+            for k in range(top, hi):
+                e[k + 1] = e[k] * up
+        if bottom > lo:
+            down = t * s.inverse()
+            for k in range(bottom, lo, -1):
+                e[k - 1] = e[k] * down
+    return e
 
 
 def monomial_field(component: int, i: int, lx: int, ly: int, coeff=1) -> RatVF:
@@ -515,13 +410,8 @@ def monomial_field(component: int, i: int, lx: int, ly: int, coeff=1) -> RatVF:
     if component not in (0, 1):
         raise ValueError("component must be 0 (first) or 1 (second)")
     deg = lx + ly + 2
-    if not 0 <= i <= deg:
-        raise ValueError("monomial index out of range")
-    num = HomPoly.monomial(deg, i, coeff)
-    zero = HomPoly.zero(deg)
-    if component == 0:
-        return RatVF(num, zero, lx, ly)
-    return RatVF(zero, num, lx, ly)
+    num, zero = HomPoly.monomial(deg, i, coeff), HomPoly.zero(deg)
+    return RatVF(num, zero, lx, ly) if component == 0 else RatVF(zero, num, lx, ly)
 
 
 def reynolds_average(group, field: RatVF) -> RatVF:

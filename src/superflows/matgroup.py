@@ -37,9 +37,10 @@ class Mat2:
     """An invertible-or-not 2x2 matrix with entries in one cyclotomic field.
 
     The entries are immutable.  `_factors` is filled lazily by
-    RatVF.conjugate: for a diagonal or antidiagonal matrix it maps a field
-    shape (numerator degree, lx) to that shape's conjugation factors, so a
-    group element builds them once and frees them with itself.
+    RatVF.conjugate: for a diagonal or antidiagonal matrix, with s and t its
+    nonzero entries, it is keyed by k and holds the conjugation factor
+    s^k t^(1-k) over one run of k, so a group element builds each factor
+    once and frees them with itself.
     """
 
     __slots__ = ("a", "b", "c", "d", "_factors")

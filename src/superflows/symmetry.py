@@ -226,36 +226,23 @@ def check_family_draws(flow: ClosedFormFlow, samples, rng, draws: int) -> Verifi
 def diagonal_symmetry_solve(field: RatVF):
     """All diagonal symmetries diag(s, t) of a single-monomial field.
 
-    Conjugation by diag(s, t) scales the monomial x^i y^(D-i) / x^lx y^ly by
-    s^(i-lx-1) t^(D-i-ly) (first component; one less s and one more 1/t on
-    the second), so invariance is one exponent equation s^a t^b = 1 per
-    nonzero component.  Because a + b = 1 the exponents are coprime and the
-    solutions form exactly the one-parameter family (c^-b, c^a).  Returns a
-    diagonal power family, or None when the two components force
+    Conjugation by diag(s, t) scales the term x^a y^(2-a) of component c
+    by s^k t^(1-k), k = a - 1 + c, so invariance is one exponent equation
+    s^k t^(1-k) = 1 per nonzero component.  k and 1 - k are coprime, so the
+    solutions form exactly the one-parameter family (c^(k-1), c^k).
+    Returns a diagonal power family, or None when the two components force
     incompatible equations.
     """
     if field.is_zero:
         raise ValueError("the zero field has every symmetry")
-    deg = field.num_x.degree
-    equations = []
-    for component, poly in ((0, field.num_x), (1, field.num_y)):
-        nonzero = [i for i, c in enumerate(poly.coeffs) if not c.is_zero()]
-        if not nonzero:
-            continue
-        if len(nonzero) > 1:
-            raise ValueError("field numerators must be single monomials")
-        i = nonzero[0]
-        if component == 0:
-            eq = (i - field.lx - 1, deg - i - field.ly)
-        else:
-            eq = (i - field.lx, deg - i - field.ly - 1)
-        equations.append(eq)
-    first = equations[0]
-    for other in equations[1:]:
-        if other != first:
-            return None
-    a, b = first
-    e1, e2 = -b, a
+    components = [component for component, _, _ in field.terms]
+    if len(set(components)) < len(components):
+        raise ValueError("field numerators must be single monomials")
+    equations = {a - 1 + component for component, a, _ in field.terms}
+    if len(equations) > 1:
+        return None
+    k, = equations
+    e1, e2 = k - 1, k
     if e1 < 0 or (e1 == 0 and e2 < 0):
         e1, e2 = -e1, -e2
     return SymmetryFamily("diagonal_power", (e1, e2), f"diag(c^{e1}, c^{e2})")

@@ -13,18 +13,6 @@ from superflows.homog import HomPoly, RatVF, monomial_field, reynolds_average
 from superflows.matgroup import Mat2, alpha_group, alpha_matrix, generate_group, tau
 
 
-def test_polynomial_product():
-    x_plus_y = HomPoly(1, [1, 1])
-    square = x_plus_y * x_plus_y
-    assert square == HomPoly(2, [1, 2, 1])
-
-
-def test_compose_linear_swap():
-    poly = HomPoly(2, [0, 0, 1])  # x^2
-    swapped = poly.compose_linear(0, 1, 1, 0)
-    assert swapped == HomPoly(2, [1, 0, 0])  # y^2
-
-
 def test_field_monomial_cancellation():
     # (x y^4) / x^3 reduces to y^4 / x^2
     field = RatVF(HomPoly.monomial(5, 1), HomPoly.zero(5), 3, 0)
@@ -68,18 +56,22 @@ def test_eval_field_singular_point():
 
 
 def _eval_by_two_walks(field: RatVF, point):
-    """The field's value with each numerator building its own powers of x and y."""
+    """The field's value with each component building its own powers of x and y."""
+    deg = field.lx + field.ly + 2
 
-    def walk(poly, x, y):
+    def walk(component, x, y):
         total = 0j
-        xp = 1 + 0j
+        xp, i = 1 + 0j, 0
         ypows = [1 + 0j]
-        for _ in range(poly.degree):
+        for _ in range(deg):
             ypows.append(ypows[-1] * y)
-        for i, c in enumerate(poly.embedded_coeffs()):
-            if c:
-                total += c * xp * ypows[poly.degree - i]
-            xp *= x
+        for k, a, c in field.terms:
+            if k != component:
+                continue
+            while i < a + field.lx:
+                xp *= x
+                i += 1
+            total += c.embed() * xp * ypows[deg - i]
         return total
 
     x, y = complex(point[0]), complex(point[1])
@@ -88,7 +80,7 @@ def _eval_by_two_walks(field: RatVF, point):
         denom *= x ** field.lx
     if field.ly:
         denom *= y ** field.ly
-    return walk(field.num_x, x, y) / denom, walk(field.num_y, x, y) / denom
+    return walk(0, x, y) / denom, walk(1, x, y) / denom
 
 
 def test_eval_field_power_table_gives_the_same_floats_as_two_walks():
@@ -159,19 +151,32 @@ def test_conjugate_right_action_on_diagonal_pairs():
 
 
 def test_conjugate_numeric_consistency():
-    # symbolic conjugation agrees with numeric L^(-1) V(L p)
+    # exact conjugation agrees with L^(-1) V(L p) computed in floats from
+    # L.embed(), which shares no exact code with either branch
     rng = random.Random(27)
-    cases = [
-        (Mat2.diagonal(root_of_unity(5), Fraction(3, 2)), monomial_field(0, 0, 2, 0)),
-        (Mat2(1, 1, -1, 2), RatVF(HomPoly(2, [1, 2, 0]), HomPoly(2, [0, 0, 1]))),
-        (tau(), monomial_field(1, 3, 0, 1)),
+    monomial = [
+        Mat2.diagonal(root_of_unity(5), Fraction(3, 2)),
+        alpha_matrix(7),
+        tau(),
+        Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0),
+        # 3/5 + 4/5 i has modulus one and is no root of unity
+        Mat2.diagonal(CycNum(4, [Fraction(3, 5), Fraction(4, 5)]), root_of_unity(12, 5)),
+        Mat2(0, Fraction(-2), CycNum(4, [Fraction(3, 5), Fraction(4, 5)]), 0),
     ]
+    generic = [Mat2(1, 1, -1, 2), Mat2(1, 1, 0, 1), Mat2(root_of_unity(3), 1, root_of_unity(4), 2)]
+    cases = [(Mat2(1, 1, -1, 2), RatVF(HomPoly(2, [1, 2, 0]), HomPoly(2, [0, 0, 1])))]
+    for L in monomial:
+        for lx, ly in ((0, 0), (2, 0), (1, 3)):
+            cases += [(L, _dense_polynomial_field(rng, 6, lx, ly)), (L, _sparse_field(rng, lx, ly))]
+    for L in generic:
+        cases += [(L, _dense_polynomial_field(rng, 5)), (L, _sparse_field(rng, 0, 0))]
     for L, v in cases:
         w = v.conjugate(L)
         (a, b), (c, d) = L.embed()
         det = a * d - b * c
-        for _ in range(20):
-            p = (rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5))
+        for _ in range(10):
+            p = (complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1)),
+                 complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1)))
             vx, vy = v.eval_field((a * p[0] + b * p[1], c * p[0] + d * p[1]))
             expected = ((d * vx - b * vy) / det, (a * vy - c * vx) / det)
             got = w.eval_field(p)
@@ -192,12 +197,33 @@ def _dense_polynomial_field(rng, m: int, lx: int = 0, ly: int = 0) -> RatVF:
     )
 
 
+def _poly_mul(p: dict, q: dict) -> dict:
+    """The product of two polynomials held as {(power of x, power of y): coefficient}."""
+    out = {}
+    for (i, j), u in p.items():
+        for (k, l), w in q.items():
+            out[i + k, j + l] = out.get((i + k, j + l), 0) + u * w
+    return out
+
+
 def _conjugate_by_composition(v: RatVF, L: Mat2) -> RatVF:
-    """L^(-1) o V o L for a polynomial field, by substituting L into both numerators."""
-    px = v.num_x.compose_linear(L.a, L.b, L.c, L.d)
-    qy = v.num_y.compose_linear(L.a, L.b, L.c, L.d)
+    """L^(-1) o V o L for a polynomial field, by substituting L into both quadratic numerators."""
+    assert (v.lx, v.ly) == (0, 0)
+    new_x = {(1, 0): L.a, (0, 1): L.b}  # x at L p
+    new_y = {(1, 0): L.c, (0, 1): L.d}  # y at L p
+    numerators = [{}, {}]
+    for component, a, c in v.terms:
+        image = {(0, 0): c}
+        for form in [new_x] * a + [new_y] * (2 - a):
+            image = _poly_mul(image, form)
+        for key, w in image.items():
+            numerators[component][key] = numerators[component].get(key, 0) + w
+    p, q = ([num.get((i, 2 - i), 0) for i in range(3)] for num in numerators)
     dinv = L.det().inverse()
-    return RatVF((px.scale(L.d) - qy.scale(L.b)).scale(dinv), (qy.scale(L.a) - px.scale(L.c)).scale(dinv))
+    return RatVF(
+        HomPoly(2, [(L.d * u - L.b * w) * dinv for u, w in zip(p, q)]),
+        HomPoly(2, [(L.a * w - L.c * u) * dinv for u, w in zip(p, q)]),
+    )
 
 
 def test_monomial_conjugation_matches_composition():
@@ -211,12 +237,12 @@ def test_monomial_conjugation_matches_composition():
 
 
 def _keys(v: RatVF):
-    return v.lx, v.ly, [c.key() for c in v.num_x.coeffs + v.num_y.coeffs]
+    return v.lx, v.ly, [(component, a, c.key()) for component, a, c in v.terms]
 
 
 def test_conjugation_factors_kept_on_the_matrix_match_a_fresh_build():
-    # (2, 0), (1, 1) and (0, 2) share numerator degree 4, so factors kept
-    # under the degree alone would serve one shape's factors to another
+    # fields of other shapes first extend the factors kept on L up and down
+    # in k; the image must still match the one a fresh matrix builds
     rng = random.Random(61)
     shapes = [(2, 0), (1, 1), (0, 2), (0, 0), (1, 0)]
     matrices = [tau(), Mat2.diagonal(2, 3), Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0)]
@@ -253,9 +279,9 @@ def test_second_conjugation_of_a_shape_inverts_nothing(monkeypatch):
 
 
 def test_oracle_products_skip_zero_convolutions(monkeypatch):
-    # monomial conjugation sends no zero coefficient to __mul__, so it lifts
-    # and folds only inside products of nonzero operands; every slot, zeros
-    # included, carries the key of the full product with its factor e[k]
+    # monomial conjugation multiplies only nonzero terms, so it lifts and
+    # folds only inside products of nonzero operands; every image term
+    # carries the key of the full product with its factor e[k]
     events, depth = [], [0]
     fold, lift, mul = cyclotomic._fold_table, CycNum.lift, CycNum.__mul__
 
@@ -281,7 +307,6 @@ def test_oracle_products_skip_zero_convolutions(monkeypatch):
     rng = random.Random(71)
     matrices = [tau(), alpha_matrix(7), Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0),
                 Mat2.diagonal(CycNum(4, [Fraction(3, 5), Fraction(4, 5)]), root_of_unity(12, 5))]
-    zero_slots = 0
     for L in matrices:
         for shape in ((0, 0), (2, 1), (1, 3)):
             v = _sparse_field(rng, *shape)
@@ -296,17 +321,15 @@ def test_oracle_products_skip_zero_convolutions(monkeypatch):
             image = v.conjugate(L)
             monkeypatch.undo()
             assert events == []
-            e = L._factors[v.num_x.degree, lx]
-            slots = list(zip(v.num_x.coeffs, e)) + list(zip(v.num_y.coeffs, e[1:]))
             if L.is_diagonal():
                 assert (image.lx, image.ly) == (lx, ly)
-                got = image.num_x.coeffs + image.num_y.coeffs
+                got = image.terms
             else:
                 assert (image.lx, image.ly) == (ly, lx)
-                got = image.num_y.coeffs[::-1] + image.num_x.coeffs[::-1]
-            assert [c.key() for c in got] == [(u * f).key() for u, f in slots]
-            zero_slots += sum(u.is_zero() for u, _ in slots)
-    assert zero_slots
+                got = [(1 - c, 2 - a, u) for c, a, u in reversed(image.terms)]
+            assert [(c, a) for c, a, _ in got] == [(c, a) for c, a, _ in v.terms]
+            e = L._factors
+            assert [u.key() for _, _, u in got] == [(u * e[a - 1 + c]).key() for c, a, u in v.terms]
     # a zero operand that does reach __mul__ returns before any lift or fold
     monkeypatch.setattr(cyclotomic, "_fold_table", counting_fold)
     monkeypatch.setattr(CycNum, "lift", counting_lift)
@@ -339,7 +362,14 @@ def test_sum_matches_the_pairwise_fold_across_denominators():
         fold = RatVF.zero()
         for f in fields:
             fold = fold + f
-        assert total.to_text() == fold.to_text()
+        assert total == fold
+        # each coefficient is one CycNum.sum of that term's nonzero inputs
+        columns = {}
+        for f in fields:
+            for c, a, u in f.terms:
+                columns.setdefault((c, a), []).append(u)
+        sums = [(c, a, CycNum.sum(us)) for (c, a), us in sorted(columns.items())]
+        assert _keys(total)[2] == [(c, a, u.key()) for c, a, u in sums if not u.is_zero()]
         for p in points:
             want = [sum(f.eval_field(p)[c] for f in fields) for c in (0, 1)]
             assert all(abs(g - w) <= 1e-9 * max(1.0, abs(w)) for g, w in zip(total.eval_field(p), want))
@@ -434,7 +464,6 @@ def test_normalized_returns_the_field_only_when_scaling_keeps_every_key():
     cases = [
         ([CycNum.one(), CycNum.zero(7), z7], True),
         ([CycNum.one(3), CycNum.zero(6), root_of_unity(6)], True),
-        ([CycNum.one(7), CycNum.zero(), z7], False),
         ([CycNum.one(3), CycNum.rational(2), root_of_unity(3)], False),
         ([CycNum.rational(2, 7), CycNum.zero(), z7], False),
     ]
@@ -454,6 +483,27 @@ def test_field_addition_mixed_denominators():
     assert (total.lx, total.ly) == (2, 0) or not total.is_zero
     diff = total - a
     assert diff == b
+
+
+def test_homog_monomial_rejects_an_index_outside_the_degree():
+    assert HomPoly.monomial(2, 2).coeffs[2] == 1
+    for i in (-1, 3, 5):
+        with pytest.raises(ValueError, match="monomial index out of range"):
+            HomPoly.monomial(2, i)
+    with pytest.raises(ValueError, match="monomial index out of range"):
+        monomial_field(0, 5, 1, 0)
+
+
+def test_parse_reads_a_half_without_a_denominator_over_one():
+    # a nonzero half without a denominator is over 1, so it cannot borrow
+    # the other half's; to_text writes the denominator on every nonzero half
+    text = "{1; z = zeta_1}*x^0*y^3 / x^1*y^0 • {1; z = zeta_1}*x^3*y^0"
+    with pytest.raises(ValueError, match="components must share one denominator"):
+        RatVF.parse(text)
+    v = RatVF.parse(text.replace("*x^3*y^0", "*x^3*y^0 / x^1*y^0"))
+    assert v == monomial_field(0, 0, 1, 0) + monomial_field(1, 3, 1, 0)
+    assert RatVF.parse("{1; z = zeta_1}*x^0*y^3 / x^1*y^0 • 0") == monomial_field(0, 0, 1, 0)
+    assert RatVF.parse("0 • {2; z = zeta_1}*x^1*y^1").to_text() == "0 • {2; z = zeta_1}*x^1*y^1"
 
 
 def test_text_round_trip():
