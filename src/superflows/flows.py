@@ -2,19 +2,23 @@
 
 A flow phi acts through its time-t map phi^t(p) = phi(p*t)/t, which satisfies
 the translation identity phi^(t+s) = phi^s o phi^t and tends to the identity
-as t -> 0.  The catalog holds the five explicit families used throughout:
+as t -> 0.  The catalog holds five explicit families.  Three are the one
+monomial flow of the term (1/n) x^a y^(2-a) in one component: it moves that
+coordinate u, keeps the other one v, and has a = 1 - n in component 0 and
+a = n + 1 in component 1.
 
-  parabolic    phi^t = (y^2 t + x, y)
+  monomial     phi^t(u) = (u^n + t v^(n+1))^(1/n)
+  parabolic    component 0, n = 1
+  radical_x k  component 0, n = 2k+1
+  radical_y k  component 1, n = 2k
   sph_inf      phi^t = ((x-y)^2 t + x, (x-y)^2 t + y)
   level0       phi^t = (x, y) / ((x+y) t + 1)
-  radical_x k  phi^t = ((x^(2k+1) + t y^(2k+2))^(1/(2k+1)), y)
-  radical_y k  phi^t = (x, (y^(2k) + t x^(2k+1))^(1/(2k)))
 
-For the radical families the root is the branch that continues the value x
-(respectively y) from t = 0 along the straight segment to t.  The radicand
-is affine in t, so the segment subtends less than pi at the origin and the
-continued argument is the principal argument of the endpoint ratio; the
-evaluation refuses (BranchError) when the segment meets zero.
+For n = 1 the flow is the polynomial u + t v^2.  For n > 1 the root is the
+branch that continues the value u from t = 0 along the straight segment to
+t.  The radicand is affine in t, so the segment subtends less than pi at the
+origin and the continued argument is the principal argument of the endpoint
+ratio; the evaluation refuses (BranchError) when the segment meets zero.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
+from .cyclotomic import as_cycnum
 from .errors import BranchError, SingularityApproachError, SingularPointError
 from .homog import HomPoly, RatVF
 
@@ -81,6 +86,7 @@ class ClosedFormFlow:
 
     family: str
     k: int = 0
+    _monomial = None  # (component, n) of a monomial flow, bound by __post_init__
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -90,54 +96,43 @@ class ClosedFormFlow:
                 raise ValueError("radical families need k >= 1")
         elif self.k != 0:
             raise ValueError(f"family {self.family!r} takes no k parameter")
+        k = self.k
+        monomial = {"parabolic": (0, 1), "radical_x": (0, 2 * k + 1), "radical_y": (1, 2 * k)}
+        object.__setattr__(self, "_monomial", monomial.get(self.family))
 
     @property
     def label(self) -> str:
-        if self.family in ("radical_x", "radical_y"):
-            return f"{self.family}(k={self.k})"
-        return self.family
-
-    @property
-    def level(self) -> int:
-        """Level of the flow: orbits are curves (orbit function)^level = const."""
-        return 0 if self.family == "level0" else 1
+        return f"{self.family}(k={self.k})" if self.k else self.family
 
     def eval(self, point, t) -> tuple[complex, complex]:
         """phi^t(point), branch anchored at t = 0 for the radical families."""
         x, y = complex(point[0]), complex(point[1])
         t = complex(t)
-        if self.family == "parabolic":
-            return (y * y * t + x, y)
+        if self._monomial is not None:
+            component, n = self._monomial
+            anchor, other = (x, y) if component == 0 else (y, x)
+            rate = other ** (n + 1)
+            # n = 1 stays a polynomial: the root's exp/log would change its bits
+            moved = rate * t + anchor if n == 1 else _anchored_root(anchor, rate, t, n)
+            return (moved, y) if component == 0 else (x, moved)
         if self.family == "sph_inf":
             d = (x - y) ** 2
             return (d * t + x, d * t + y)
-        if self.family == "level0":
-            denom = (x + y) * t + 1
-            if abs(denom) < 1e-12:
-                raise SingularPointError("flow denominator (x+y)t + 1 vanishes")
-            return (x / denom, y / denom)
-        if self.family == "radical_x":
-            n = 2 * self.k + 1
-            return (_anchored_root(x, y ** (n + 1), t, n), y)
-        n = 2 * self.k
-        return (x, _anchored_root(y, x ** (n + 1), t, n))
+        denom = (x + y) * t + 1
+        if abs(denom) < 1e-12:
+            raise SingularPointError("flow denominator (x+y)t + 1 vanishes")
+        return (x / denom, y / denom)
 
     def vector_field(self) -> RatVF:
         """The exact 2-homogeneous rational vector field of the flow."""
-        if self.family == "parabolic":
-            return RatVF(HomPoly(2, [1, 0, 0]), HomPoly.zero(2))
+        if self._monomial is not None:
+            component, n = self._monomial
+            a = 1 - n if component == 0 else n + 1
+            return RatVF.from_terms([(component, a, as_cycnum(Fraction(1, n)))])
         if self.family == "sph_inf":
             sq = HomPoly(2, [1, -2, 1])
             return RatVF(sq, sq)
-        if self.family == "level0":
-            return RatVF(HomPoly(2, [0, -1, -1]), HomPoly(2, [-1, -1, 0]))
-        if self.family == "radical_x":
-            k = self.k
-            num = HomPoly.monomial(2 * k + 2, 0, Fraction(1, 2 * k + 1))
-            return RatVF(num, HomPoly.zero(2 * k + 2), 2 * k, 0)
-        k = self.k
-        num = HomPoly.monomial(2 * k + 1, 2 * k + 1, Fraction(1, 2 * k))
-        return RatVF(HomPoly.zero(2 * k + 1), num, 0, 2 * k - 1)
+        return RatVF(HomPoly(2, [0, -1, -1]), HomPoly(2, [-1, -1, 0]))
 
     # -- seeded sample domains (branch-valid by construction) ---------------
 
@@ -328,10 +323,6 @@ class OrbitFunction:
     def __post_init__(self):
         if self.kind not in ("coordinate_y", "coordinate_x", "nonalgebraic_example"):
             raise ValueError(f"unknown orbit function {self.kind!r}")
-
-    @property
-    def level(self) -> int | None:
-        return None if self.kind == "nonalgebraic_example" else 1
 
     def evaluate(self, point) -> complex:
         x, y = complex(point[0]), complex(point[1])

@@ -2,13 +2,16 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from superflows.engine import classify_alpha
 from superflows.errors import BranchError, SingularityApproachError, SingularPointError
 from superflows.flows import (
     ClosedFormFlow,
     OrbitFunction,
+    _anchored_root,
     catalog,
     check_orbits,
     check_pde,
@@ -27,6 +30,63 @@ from superflows.symmetry import _conjugation_residual, check_family_draws
 
 def test_parabolic_direct_substitution():
     assert ClosedFormFlow("parabolic").eval((1, 1), 1) == (2, 1)
+
+
+def _per_family_eval(family, k, p, t):
+    """The three formulas the one monomial flow replaced, kept as its bit-level reference."""
+    x, y, t = complex(p[0]), complex(p[1]), complex(t)
+    if family == "parabolic":
+        return (y * y * t + x, y)
+    if family == "radical_x":
+        return (_anchored_root(x, y ** (2 * k + 2), t, 2 * k + 1), y)
+    return (x, _anchored_root(y, x ** (2 * k + 1), t, 2 * k))
+
+
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+MONOMIAL_FLOWS = [("parabolic", 0)] + [
+    (family, k) for family in ("radical_x", "radical_y") for k in range(1, 6)
+]
+
+
+@pytest.mark.parametrize("family,k", MONOMIAL_FLOWS)
+def test_monomial_flow_keeps_the_per_family_bits(family, k):
+    flow = ClosedFormFlow(family, k)
+    rng = random.Random(1000 + 10 * k + len(family))
+    for _ in range(300):
+        x, y = flow.sample_point(rng)
+        points = [(x, y), (complex(x, rng.uniform(-0.1, 0.1)), complex(y, rng.uniform(-0.1, 0.1)))]
+        times = [flow.sample_time(rng), complex(flow.sample_time(rng), flow.sample_time(rng))]
+        for p in points:
+            for t in times:
+                assert _bits(flow.eval(p, t)) == _bits(_per_family_eval(family, k, p, t))
+
+
+@pytest.mark.parametrize("family,k", MONOMIAL_FLOWS)
+def test_monomial_flow_field_is_one_term(family, k):
+    if family == "parabolic":
+        expected = (0, 0, 1)
+    elif family == "radical_x":
+        expected = (0, -2 * k, Fraction(1, 2 * k + 1))
+    else:
+        expected = (1, 2 * k + 1, Fraction(1, 2 * k))
+    assert ClosedFormFlow(family, k).vector_field().terms == (expected,)
+
+
+def test_every_odd_alpha_verdict_is_the_field_of_one_catalog_flow():
+    for row in classify_alpha(3, 2001)[::2]:  # the odd m
+        m = row.m
+        if m == 3:
+            flow = ClosedFormFlow("parabolic")
+        elif m % 4 == 3:
+            flow = ClosedFormFlow("radical_x", (m - 3) // 4)
+        else:
+            flow = ClosedFormFlow("radical_y", (m - 1) // 4)
+        field = flow.vector_field().normalized()
+        assert row.status == "superflow"
+        assert row.field == field and row.field.to_text() == field.to_text(), m
 
 
 def test_radical_x_scalar_value():
@@ -185,14 +245,6 @@ def test_orbit_function_homogeneity():
             x, y = rng.uniform(0.3, 1.5), rng.uniform(0.3, 1.5)
             lam = rng.uniform(0.5, 2.0)
             assert abs(w.evaluate((lam * x, lam * y)) - lam * w.evaluate((x, y))) <= 1e-10
-
-
-def test_orbit_function_levels():
-    assert OrbitFunction("coordinate_y").level == 1
-    assert OrbitFunction("coordinate_x").level == 1
-    assert OrbitFunction("nonalgebraic_example").level is None
-    assert ClosedFormFlow("level0").level == 0
-    assert ClosedFormFlow("radical_x", 1).level == 1
 
 
 def test_orbit_function_singular_at_zero_y():
