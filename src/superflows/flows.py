@@ -19,6 +19,9 @@ branch that continues the value u from t = 0 along the straight segment to
 t.  The radicand is affine in t, so the segment subtends less than pi at the
 origin and the continued argument is the principal argument of the endpoint
 ratio; the evaluation refuses (BranchError) when the segment meets zero.
+
+Each flow binds its time map phi(x, y, t) on complex scalars once, and the
+checks call it directly, as they call a field's evaluator.
 """
 
 from __future__ import annotations
@@ -68,16 +71,70 @@ def _segment_min_abs(z0: complex, z1: complex) -> float:
     return abs(z0 + s * dz)
 
 
-def _anchored_root(anchor: complex, rate: complex, t: complex, n: int) -> complex:
-    """Continue (anchor^n + t*rate)^(1/n) from the value `anchor` at t = 0."""
-    if anchor == 0:
-        raise SingularPointError("radical anchor vanishes")
-    base = anchor ** n
-    tip = base + t * rate
+def _guarded_ratio(base: complex, tip: complex) -> complex:
+    """tip / base, refused (BranchError) when the segment from base to tip nears zero.
+
+    Near means within 1e-12 times the larger of |base| and |tip|.
+    """
     scale = max(abs(base), abs(tip))
     if _segment_min_abs(base, tip) <= 1e-12 * scale:
         raise BranchError("radicand path passes through zero; branch undefined")
-    return anchor * cmath.exp(cmath.log(tip / base) / n)
+    return tip / base
+
+
+def _monomial_map(component: int, n: int):
+    """phi(x, y, t) of the monomial flow that moves coordinate `component`."""
+    p = n + 1
+    first = component == 0
+    if n == 1:
+        # a polynomial: the root's exp/log would change its bits
+        if first:
+            return lambda x, y, t: (y ** p * t + x, y)
+        return lambda x, y, t: (x, x ** p * t + y)
+
+    def radical(x, y, t):
+        anchor, other = (x, y) if first else (y, x)
+        rate = other ** p
+        if anchor == 0:
+            raise SingularPointError("radical anchor vanishes")
+        base = anchor ** n
+        tip = base + t * rate
+        # Fast accept: |w - 1| < 1/2 keeps the segment |base|/2 away from
+        # zero, so the full test would pass.  Within the bounds on |base|
+        # that test's squares stay finite, and abs(w - 1) overflows only
+        # where the full test overflows too.
+        if not (1e-150 < abs(base) < 1e150 and abs((w := tip / base) - 1) < 0.5):
+            w = _guarded_ratio(base, tip)
+        moved = anchor * cmath.exp(cmath.log(w) / n)
+        return (moved, y) if first else (x, moved)
+
+    return radical
+
+
+def _sph_inf_map(x, y, t):
+    d = (x - y) ** 2
+    return (d * t + x, d * t + y)
+
+
+def _level0_map(x, y, t):
+    denom = (x + y) * t + 1
+    if abs(denom) < 1e-12:
+        raise SingularPointError("flow denominator (x+y)t + 1 vanishes")
+    return (x / denom, y / denom)
+
+
+# family -> the (low, high) ranges that x, y and t are drawn from, branch-valid by construction
+SAMPLE_RANGES = {
+    "parabolic": ((-1, 1), (-1, 1), (-1, 1)),
+    "sph_inf": ((-1, 1), (-1, 1), (-1, 1)),
+    "level0": ((-0.4, 0.4), (-0.4, 0.4), (-0.15, 0.15)),
+    "radical_x": ((0.8, 1.2), (0.3, 0.7), (-0.05, 0.05)),
+    "radical_y": ((0.3, 0.7), (0.8, 1.2), (-0.05, 0.05)),
+}
+# each range as (low, high - low): low + width * random() is what random.uniform computes
+_DRAWS = {
+    family: tuple((lo, hi - lo) for lo, hi in ranges) for family, ranges in SAMPLE_RANGES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -87,6 +144,7 @@ class ClosedFormFlow:
     family: str
     k: int = 0
     _monomial = None  # (component, n) of a monomial flow, bound by __post_init__
+    time_map = None  # phi(x, y, t) on complex scalars, bound by __post_init__
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -98,7 +156,13 @@ class ClosedFormFlow:
             raise ValueError(f"family {self.family!r} takes no k parameter")
         k = self.k
         monomial = {"parabolic": (0, 1), "radical_x": (0, 2 * k + 1), "radical_y": (1, 2 * k)}
-        object.__setattr__(self, "_monomial", monomial.get(self.family))
+        monomial = monomial.get(self.family)
+        object.__setattr__(self, "_monomial", monomial)
+        if monomial is not None:
+            time_map = _monomial_map(*monomial)
+        else:
+            time_map = _sph_inf_map if self.family == "sph_inf" else _level0_map
+        object.__setattr__(self, "time_map", time_map)
 
     @property
     def label(self) -> str:
@@ -106,22 +170,7 @@ class ClosedFormFlow:
 
     def eval(self, point, t) -> tuple[complex, complex]:
         """phi^t(point), branch anchored at t = 0 for the radical families."""
-        x, y = complex(point[0]), complex(point[1])
-        t = complex(t)
-        if self._monomial is not None:
-            component, n = self._monomial
-            anchor, other = (x, y) if component == 0 else (y, x)
-            rate = other ** (n + 1)
-            # n = 1 stays a polynomial: the root's exp/log would change its bits
-            moved = rate * t + anchor if n == 1 else _anchored_root(anchor, rate, t, n)
-            return (moved, y) if component == 0 else (x, moved)
-        if self.family == "sph_inf":
-            d = (x - y) ** 2
-            return (d * t + x, d * t + y)
-        denom = (x + y) * t + 1
-        if abs(denom) < 1e-12:
-            raise SingularPointError("flow denominator (x+y)t + 1 vanishes")
-        return (x / denom, y / denom)
+        return self.time_map(complex(point[0]), complex(point[1]), complex(t))
 
     def vector_field(self) -> RatVF:
         """The exact 2-homogeneous rational vector field of the flow."""
@@ -134,23 +183,15 @@ class ClosedFormFlow:
             return RatVF(sq, sq)
         return RatVF(HomPoly(2, [0, -1, -1]), HomPoly(2, [-1, -1, 0]))
 
-    # -- seeded sample domains (branch-valid by construction) ---------------
+    # -- seeded sample domains (SAMPLE_RANGES) --------------------------------
 
     def sample_point(self, rng) -> tuple[float, float]:
-        if self.family in ("parabolic", "sph_inf"):
-            return (rng.uniform(-1, 1), rng.uniform(-1, 1))
-        if self.family == "level0":
-            return (rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4))
-        if self.family == "radical_x":
-            return (rng.uniform(0.8, 1.2), rng.uniform(0.3, 0.7))
-        return (rng.uniform(0.3, 0.7), rng.uniform(0.8, 1.2))
+        (x0, xw), (y0, yw), _ = _DRAWS[self.family]
+        return (x0 + xw * rng.random(), y0 + yw * rng.random())
 
     def sample_time(self, rng) -> float:
-        if self.family in ("parabolic", "sph_inf"):
-            return rng.uniform(-1, 1)
-        if self.family == "level0":
-            return rng.uniform(-0.15, 0.15)
-        return rng.uniform(-0.05, 0.05)
+        t0, tw = _DRAWS[self.family][2]
+        return t0 + tw * rng.random()
 
 
 def catalog() -> list[ClosedFormFlow]:
@@ -221,12 +262,22 @@ def residual_sup(pairs: Iterable) -> tuple[int, float, object]:
 
 
 def verify_translation(flow: ClosedFormFlow, samples: Iterable) -> VerificationRecord:
-    """Max over (p, t, s) of |phi^(t+s)(p) - phi^s(phi^t(p))| in the sup norm."""
+    """Max over (p, t, s) of |phi^(t+s)(p) - phi^s(phi^t(p))| in the sup norm.
+
+    A sample that both sides leave at its start point checks nothing, so it
+    is not counted; its residual would be 0, so only the count changes.
+    """
+    phi = flow.time_map
+
     def residuals():
         for p, t, s in samples:
-            lhs = flow.eval(p, t + s)
-            rhs = flow.eval(flow.eval(p, t), s)
-            yield (abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1])), (p, t, s)
+            x, y = complex(p[0]), complex(p[1])
+            lhs_x, lhs_y = phi(x, y, complex(t + s))
+            u, v = phi(x, y, complex(t))
+            rhs_x, rhs_y = phi(u, v, complex(s))
+            if lhs_x == x and lhs_y == y and rhs_x == x and rhs_y == y:
+                continue
+            yield (abs(lhs_x - rhs_x), abs(lhs_y - rhs_y)), (p, t, s)
 
     return VerificationRecord(flow.label, "translation", *residual_sup(residuals()))
 
@@ -234,16 +285,13 @@ def verify_translation(flow: ClosedFormFlow, samples: Iterable) -> VerificationR
 def extract_vector_field(flow: ClosedFormFlow, point):
     """d/dt phi^t(point) at t = 0 by Richardson-extrapolated central differences."""
     h = EXTRACTION_STEP
-
-    def g(t):
-        return flow.eval(point, t)
-
-    g1p, g1m = g(h), g(-h)
-    g2p, g2m = g(2 * h), g(-2 * h)
-    return tuple(
-        (8 * (a - b) - (c - d)) / (12 * h)
-        for a, b, c, d in zip(g1p, g1m, g2p, g2m)
-    )
+    phi = flow.time_map
+    x, y = complex(point[0]), complex(point[1])
+    a0, a1 = phi(x, y, complex(h))
+    b0, b1 = phi(x, y, complex(-h))
+    c0, c1 = phi(x, y, complex(2 * h))
+    d0, d1 = phi(x, y, complex(-2 * h))
+    return ((8 * (a0 - b0) - (c0 - d0)) / (12 * h), (8 * (a1 - b1) - (c1 - d1)) / (12 * h))
 
 
 def verify_pde(flow: ClosedFormFlow, field: RatVF, samples: Iterable) -> VerificationRecord:
@@ -253,16 +301,17 @@ def verify_pde(flow: ClosedFormFlow, field: RatVF, samples: Iterable) -> Verific
     field; spatial partials are central finite differences.
     """
     h = DIFFERENCE_STEP
+    phi, evaluate, one = flow.time_map, field.evaluator(), complex(1.0)
 
     def residuals():
         for p in samples:
             x, y = complex(p[0]), complex(p[1])
-            w, r = field.eval_field((x, y))
-            f0 = flow.eval((x, y), 1.0)
-            fxp = flow.eval((x + h, y), 1.0)
-            fxm = flow.eval((x - h, y), 1.0)
-            fyp = flow.eval((x, y + h), 1.0)
-            fym = flow.eval((x, y - h), 1.0)
+            w, r = evaluate(x, y)
+            f0 = phi(x, y, one)
+            fxp = phi(x + h, y, one)
+            fxm = phi(x - h, y, one)
+            fyp = phi(x, y + h, one)
+            fym = phi(x, y - h, one)
             yield [
                 abs(
                     (fxp[c] - fxm[c]) / (2 * h) * (w - x)  # u_x (w - x)
@@ -286,26 +335,23 @@ def integrate_trajectory(
     if steps < 1:
         raise ValueError("steps must be positive")
     h = t_end / steps
+    evaluate, lx, ly = field.evaluator(), field.lx, field.ly
 
-    def guarded(q, step_index):
-        if field.lx and abs(q[0]) < SINGULAR_DISTANCE:
-            raise SingularityApproachError(q, step_index)
-        if field.ly and abs(q[1]) < SINGULAR_DISTANCE:
-            raise SingularityApproachError(q, step_index)
-        return field.eval_field(q)
+    def guarded(x, y, step_index):
+        if (lx and abs(x) < SINGULAR_DISTANCE) or (ly and abs(y) < SINGULAR_DISTANCE):
+            raise SingularityApproachError((x, y), step_index)
+        return evaluate(x, y)
 
-    path = [(complex(start[0]), complex(start[1]))]
-    p = path[0]
+    x, y = complex(start[0]), complex(start[1])
+    path = [(x, y)]
     for step in range(steps):
-        k1 = guarded(p, step)
-        k2 = guarded((p[0] + 0.5 * h * k1[0], p[1] + 0.5 * h * k1[1]), step)
-        k3 = guarded((p[0] + 0.5 * h * k2[0], p[1] + 0.5 * h * k2[1]), step)
-        k4 = guarded((p[0] + h * k3[0], p[1] + h * k3[1]), step)
-        p = (
-            p[0] + h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6,
-            p[1] + h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6,
-        )
-        path.append(p)
+        k1x, k1y = guarded(x, y, step)
+        k2x, k2y = guarded(x + 0.5 * h * k1x, y + 0.5 * h * k1y, step)
+        k3x, k3y = guarded(x + 0.5 * h * k2x, y + 0.5 * h * k2y, step)
+        k4x, k4y = guarded(x + h * k3x, y + h * k3y, step)
+        x = x + h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6
+        y = y + h * (k1y + 2 * k2y + 2 * k3y + k4y) / 6
+        path.append((x, y))
     return path
 
 
@@ -352,11 +398,12 @@ def orbit_residual(orbit: OrbitFunction, path) -> float:
 def verify_orbit_ode(orbit: OrbitFunction, field: RatVF, samples: Iterable) -> VerificationRecord:
     """Residual of W * r + W_x * (y*w - x*r) = 0 with W_x by central differences."""
     h = DIFFERENCE_STEP
+    evaluate = field.evaluator()
 
     def residuals():
         for p in samples:
             x, y = complex(p[0]), complex(p[1])
-            w, r = field.eval_field((x, y))
+            w, r = evaluate(x, y)
             wval = orbit.evaluate((x, y))
             wx = (orbit.evaluate((x + h, y)) - orbit.evaluate((x - h, y))) / (2 * h)
             yield (abs(wval * r + wx * (y * w - x * r)),), (x, y)
@@ -381,14 +428,15 @@ def check_pde(flow: ClosedFormFlow, rng, n: int) -> list[VerificationRecord]:
     """The flow PDE at n drawn points; then, at n more, the extracted field vs the exact one."""
     field = flow.vector_field()
     pde = verify_pde(flow, field, [flow.sample_point(rng) for _ in range(n)])
+    evaluate = field.evaluator()
 
     def residuals():
         for p in [flow.sample_point(rng) for _ in range(n)]:
             fd = extract_vector_field(flow, p)
-            exact = field.eval_field(p)
-            scale = max(1.0, max(abs(v) for v in exact))
+            ex, ey = evaluate(complex(p[0]), complex(p[1]))
+            scale = max(1.0, max(abs(ex), abs(ey)))
             # division by scale > 0 is monotone: the same sup as dividing the component max
-            yield (abs(fd[0] - exact[0]) / scale, abs(fd[1] - exact[1]) / scale), p
+            yield (abs(fd[0] - ex) / scale, abs(fd[1] - ey) / scale), p
 
     extraction = VerificationRecord(
         flow.label, "vector_field_extraction", *residual_sup(residuals()), 1e-7

@@ -14,8 +14,8 @@ is only the dense input form: RatVF(num_x, num_y, lx, ly) reads two of
 them over x^lx y^ly, so the term at index i has a = i - lx.
 RatVF.normalized() scales the first term's coefficient to one.
 
-Everything in this module is exact; floating point appears only in
-eval_field.
+Everything in this module is exact; floating point appears only in a
+field's evaluator.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class RatVF:
     anything the decision procedure scans.
     """
 
-    __slots__ = ("terms", "lx", "ly", "_embedded")
+    __slots__ = ("terms", "lx", "ly", "_evaluator")
 
     def __init__(self, num_x: HomPoly, num_y: HomPoly, lx: int = 0, ly: int = 0):
         if lx < 0 or ly < 0:
@@ -196,34 +196,14 @@ class RatVF:
     # -- numerics ----------------------------------------------------------
 
     def eval_field(self, point):
-        """Numeric value at a complex 2-vector; raises on the denominator locus.
+        """Numeric value at a complex 2-vector; raises on the denominator locus."""
+        return self.evaluator()(complex(point[0]), complex(point[1]))
 
-        Both components read one table of x^i and one of y^j per point, and
-        each sums its terms in ascending i.
-        """
-        x, y = complex(point[0]), complex(point[1])
-        lx, ly = self.lx, self.ly
-        denom = 1 + 0j
-        if lx:
-            if x == 0:
-                raise SingularPointError("denominator vanishes: x = 0")
-            denom *= x ** lx
-        if ly:
-            if y == 0:
-                raise SingularPointError("denominator vanishes: y = 0")
-            denom *= y ** ly
-        deg = lx + ly + 2
-        xpows, ypows = [1 + 0j], [1 + 0j]
-        for _ in range(deg):
-            xpows.append(xpows[-1] * x)
-            ypows.append(ypows[-1] * y)
-        if self._embedded is None:
-            object.__setattr__(self, "_embedded", tuple(c.embed() for _, _, c in self.terms))
-        f = [0j, 0j]
-        for (component, a, _), c in zip(self.terms, self._embedded):
-            i = a + lx
-            f[component] += c * xpows[i] * ypows[deg - i]
-        return f[0] / denom, f[1] / denom
+    def evaluator(self):
+        """The field's value as a function of complex x and y, built once per field."""
+        if self._evaluator is None:
+            object.__setattr__(self, "_evaluator", _field_evaluator(self.terms, self.lx, self.ly))
+        return self._evaluator
 
     # -- group action ------------------------------------------------------
 
@@ -379,7 +359,50 @@ def _set_terms(field: RatVF, terms: tuple) -> None:
     object.__setattr__(field, "terms", terms)
     object.__setattr__(field, "lx", max(0, -min(exponents)))
     object.__setattr__(field, "ly", max(0, max(exponents) - 2))
-    object.__setattr__(field, "_embedded", None)
+    object.__setattr__(field, "_evaluator", None)
+
+
+def _field_evaluator(terms, lx: int, ly: int):
+    """evaluate(x, y) of the field with these terms over x^lx y^ly; raises on the denominator locus.
+
+    The denominator is 1 + 0j times x^lx, then y^ly.  Each point reads one
+    table of x^i and one of y^j, each only as long as the terms need, and
+    each component sums its terms in ascending i from 0j.
+    """
+    deg = lx + ly + 2
+    plans = ([], [])  # per component: (i, j, embedded coefficient) of x^i y^j
+    for component, a, c in terms:
+        plans[component].append((a + lx, deg - lx - a, c.embed()))
+    plan_x, plan_y = plans
+    x_steps = range(max((i for plan in plans for i, _, _ in plan), default=0))
+    y_steps = range(max((j for plan in plans for _, j, _ in plan), default=0))
+
+    def evaluate(x, y):
+        denom = 1 + 0j
+        if lx:
+            if x == 0:
+                raise SingularPointError("denominator vanishes: x = 0")
+            denom *= x ** lx
+        if ly:
+            if y == 0:
+                raise SingularPointError("denominator vanishes: y = 0")
+            denom *= y ** ly
+        xp = yp = 1 + 0j
+        xpows, ypows = [xp], [yp]
+        for _ in x_steps:
+            xp *= x
+            xpows.append(xp)
+        for _ in y_steps:
+            yp *= y
+            ypows.append(yp)
+        fx = fy = 0j
+        for i, j, c in plan_x:
+            fx += c * xpows[i] * ypows[j]
+        for i, j, c in plan_y:
+            fy += c * xpows[i] * ypows[j]
+        return fx / denom, fy / denom
+
+    return evaluate
 
 
 def _monomial_factors(L: Mat2, s: CycNum, t: CycNum, lo: int, hi: int) -> dict:

@@ -139,13 +139,14 @@ def flow_symmetry_family(flow: ClosedFormFlow) -> SymmetryFamily:
     raise ValueError(f"no cataloged symmetry family for {flow.label}")
 
 
-def _conjugation_residual(L, image, values, samples) -> float:
-    """Max of |L^(-1) image(L p, t) - values[i]| over the samples (p, t), both components.
+def _conjugation_residual(L, image, values, samples) -> list[float]:
+    """|L^(-1) image(L p, t) - values[i]| at the samples (p, t): both components, sample by sample.
 
     L is a Mat2 or nested pairs of numbers, read as complex entries once per
-    call.  `image` takes a point and a time: a flow's eval, or a field's
-    values with the time ignored.  Each point is a pair of complex numbers,
-    and `values` holds the L-free side, one (fx, fy) per sample, computed once.
+    call.  `image(x, y, t)` takes complex scalars: a flow's time map, or a
+    field's evaluator with the time ignored.  Each point is a pair of
+    complex numbers, and `values` holds the L-free side, one (fx, fy) per
+    sample, computed once.
     """
     if isinstance(L, Mat2):
         (a, b), (c, d) = L.embed()
@@ -154,21 +155,24 @@ def _conjugation_residual(L, image, values, samples) -> float:
     det = a * d - b * c
     if abs(det) < 1e-14:
         raise ZeroDivisionError("matrix is numerically singular")
+    residuals = []
+    for ((x, y), t), (fx, fy) in zip(samples, values):
+        u, v = image(a * x + b * y, c * x + d * y, t)
+        residuals.append(abs((d * u - b * v) / det - fx))
+        residuals.append(abs((a * v - c * u) / det - fy))
+    return residuals
 
-    def residuals():
-        for ((x, y), t), (fx, fy) in zip(samples, values):
-            u, v = image((a * x + b * y, c * x + d * y), t)
-            gx = (d * u - b * v) / det
-            gy = (a * v - c * u) / det
-            yield (abs(gx - fx), abs(gy - fy)), None
 
-    return residual_sup(residuals())[1]
+def _sup(residuals) -> float:
+    """The sup of a list of residuals under the one rule of flows.residual_sup (NaN sticks)."""
+    return residual_sup([(residuals, None)])[1]
 
 
 def _flow_side(flow: ClosedFormFlow, samples):
-    """The samples (p, t) with complex points, and phi^t(p) at each: the side no L changes."""
-    points = [((complex(p[0]), complex(p[1])), t) for p, t in samples]
-    return points, [flow.eval(p, t) for p, t in points]
+    """The samples (p, t) as complex scalars, and phi^t(p) at each: the side no L changes."""
+    points = [((complex(p[0]), complex(p[1])), complex(t)) for p, t in samples]
+    phi = flow.time_map
+    return points, [phi(x, y, t) for (x, y), t in points]
 
 
 def check_field_symmetry(L, field: RatVF, samples=None):
@@ -189,9 +193,10 @@ def check_field_symmetry(L, field: RatVF, samples=None):
             return False, float("inf")
         raise ValueError("numeric symmetry check needs sample points")
 
+    evaluate = field.evaluator()
     points = [((complex(p[0]), complex(p[1])), None) for p in samples]
-    values = [field.eval_field(p) for p, _ in points]
-    resid = _conjugation_residual(L, lambda p, _: field.eval_field(p), values, points)
+    values = [evaluate(x, y) for (x, y), _ in points]
+    resid = _sup(_conjugation_residual(L, lambda x, y, _: evaluate(x, y), values, points))
     # an exact conjugate that differs fails whatever the samples show
     return not exact and resid <= SYMMETRY_TOL, resid
 
@@ -203,22 +208,25 @@ def check_flow_symmetry(L, flow: ClosedFormFlow, samples):
     BranchError, distinct from a residual failure.
     """
     points, values = _flow_side(flow, samples)
-    worst = _conjugation_residual(L, flow.eval, values, points)
+    worst = _sup(_conjugation_residual(L, flow.time_map, values, points))
     return worst <= SYMMETRY_TOL, worst
 
 
 def check_family_draws(flow: ClosedFormFlow, samples, rng, draws: int) -> VerificationRecord:
     """The flow's symmetry family at `draws` random members; the worst one is the sample.
 
-    phi^t(p) is evaluated once per sample and shared by every member.
+    phi^t(p) is evaluated once per sample and shared by every member.  Each
+    member's residuals enter the sup as one sample's, so the member that
+    first exceeds the sup so far is the worst.
     """
     family = flow_symmetry_family(flow)
     points, values = _flow_side(flow, samples)
+    phi = flow.time_map
 
     def residuals():
         for _ in range(draws):
             member = family.matrix_numeric(family.sample_params(rng))
-            yield (_conjugation_residual(member, flow.eval, values, points),), member
+            yield _conjugation_residual(member, phi, values, points), member
 
     return VerificationRecord(flow.label, "symmetry", *residual_sup(residuals()), SYMMETRY_TOL)
 

@@ -110,6 +110,13 @@ def test_verify_flow_exit_and_seed():
     assert "seed=1" in out
 
 
+def test_verify_flow_with_no_moved_sample_fails():
+    # at k = 200 the flow moves no drawn point, so every sample is vacuous
+    code, out = run_cli(["verify-flow", "--family", "radical_x", "--k", "200", "--samples", "20"])
+    assert code == 1
+    assert out.splitlines()[1] == "radical_x(k=200)  translation: n=0  max_residual=0.000e+00"
+
+
 def test_verify_flow_deterministic():
     argv = ["verify-flow", "--family", "radical_x", "--k", "1", "--samples", "50", "--seed", "9", "--format", "json"]
     _, first = run_cli(argv)

@@ -1,17 +1,20 @@
 """Tests for the closed-form flow catalog and its numeric verification."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from superflows import flows
 from superflows.engine import classify_alpha
 from superflows.errors import BranchError, SingularityApproachError, SingularPointError
 from superflows.flows import (
     ClosedFormFlow,
     OrbitFunction,
-    _anchored_root,
     catalog,
     check_orbits,
     check_pde,
@@ -30,6 +33,29 @@ from superflows.symmetry import _conjugation_residual, check_family_draws
 
 def test_parabolic_direct_substitution():
     assert ClosedFormFlow("parabolic").eval((1, 1), 1) == (2, 1)
+
+
+def _segment_min_abs(z0, z1):
+    """Reference copy: minimum of |z| over the straight segment from z0 to z1."""
+    dz = z1 - z0
+    length2 = abs(dz) ** 2
+    if length2 == 0.0:
+        return abs(z0)
+    s = -(z0.real * dz.real + z0.imag * dz.imag) / length2
+    s = min(1.0, max(0.0, s))
+    return abs(z0 + s * dz)
+
+
+def _anchored_root(anchor, rate, t, n):
+    """Reference copy of the radical before its fast accept: the full segment test on every call."""
+    if anchor == 0:
+        raise SingularPointError("radical anchor vanishes")
+    base = anchor ** n
+    tip = base + t * rate
+    scale = max(abs(base), abs(tip))
+    if _segment_min_abs(base, tip) <= 1e-12 * scale:
+        raise BranchError("radicand path passes through zero; branch undefined")
+    return anchor * cmath.exp(cmath.log(tip / base) / n)
 
 
 def _per_family_eval(family, k, p, t):
@@ -62,6 +88,100 @@ def test_monomial_flow_keeps_the_per_family_bits(family, k):
         for p in points:
             for t in times:
                 assert _bits(flow.eval(p, t)) == _bits(_per_family_eval(family, k, p, t))
+
+
+def _outcome(phi, x, y, t):
+    """The bits of phi(x, y, t), or the class of the exception it raises."""
+    try:
+        return _bits(phi(x, y, t))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _radical_against_reference(family, k, base_exp, angle, tip_of):
+    """Outcomes of the bound radical map and of the reference at a radicand base -> tip.
+
+    base_exp is log10 |base|.  The moved coordinate is the anchor
+    10^(base_exp/n) e^(i angle/n), the other one is 1, so the rate is 1 and
+    t = tip - base with tip = tip_of(base).
+    """
+    flow = ClosedFormFlow(family, k)
+    n = flow._monomial[1]
+    anchor = cmath.rect(10.0 ** (base_exp / n), angle / n)
+    try:
+        base = anchor ** n
+        t = tip_of(base) - base
+    except OverflowError:  # both sides raise it too; the reference below shows it
+        t = 0j
+    if family == "radical_x":
+        point = (anchor, 1 + 0j)
+        reference = lambda x, y, t: (_anchored_root(x, y ** (n + 1), t, n), y)  # noqa: E731
+    else:
+        point = (1 + 0j, anchor)
+        reference = lambda x, y, t: (x, _anchored_root(y, x ** (n + 1), t, n))  # noqa: E731
+    return _outcome(flow.time_map, *point, t), _outcome(reference, *point, t)
+
+
+RADICALS = [(family, k) for family in ("radical_x", "radical_y") for k in (1, 2, 3)]  # n odd, even
+
+
+@settings(max_examples=1500, derandomize=True, deadline=None)
+@given(
+    st.sampled_from(RADICALS),
+    st.floats(min_value=-320.0, max_value=320.0),  # log10 |base|: subnormal to overflowing
+    st.floats(min_value=-math.pi, max_value=math.pi),
+    st.one_of(
+        # tip ~ -r base, r from 1e-15 to 2: the segment passes near or through zero
+        st.tuples(st.just("opposite"), st.floats(-15.0, math.log10(2.0)), st.floats(-0.1, 0.1)),
+        # |w - 1| = 1/2 +- 1e-12: the edge of the fast accept
+        st.tuples(st.just("circle"), st.floats(-1e-12, 1e-12), st.floats(-math.pi, math.pi)),
+        # a tip of any size, whatever the base: ratios that underflow or overflow
+        st.tuples(st.just("free"), st.floats(-320.0, 308.0), st.floats(-math.pi, math.pi)),
+    ),
+)
+def test_radical_fast_accept_keeps_the_bits_or_the_exception(radical, base_exp, angle, tip):
+    kind, u, v = tip
+    if kind == "opposite":
+        tip_of = lambda base: -(10.0 ** u) * cmath.exp(1j * v) * base  # noqa: E731
+    elif kind == "circle":
+        tip_of = lambda base: (1 + (0.5 + u) * cmath.exp(1j * v)) * base  # noqa: E731
+    else:
+        tip_of = lambda base: cmath.rect(10.0 ** u, v)  # noqa: E731
+    got, want = _radical_against_reference(*radical, base_exp, angle, tip_of)
+    assert got == want
+
+
+@pytest.mark.parametrize("family,k", RADICALS)
+@pytest.mark.parametrize("base_exp,tip", [
+    (-160.0, 1.3e148 * (1 + 1j)),  # |tip/base| overflows in abs, the guard refuses
+    (-150.0, 1e-150 * (1 + 0.5j)),  # the lower bound of the fast accept
+    (150.0, 1.2e150 + 0j),  # the upper bound
+    (154.2, 1.5e154 + 0j),  # the guard's own square overflows
+    (-330.0, 1e-320 + 0j),  # the base underflows to zero
+    (0.0, -0.5 + 0j),  # the segment runs through zero
+])
+def test_radical_fast_accept_at_its_edges(family, k, base_exp, tip):
+    got, want = _radical_against_reference(family, k, base_exp, 0.0, lambda base: tip)
+    assert got == want
+
+
+def test_catalog_samples_take_the_fast_accept(monkeypatch):
+    calls = []
+    guarded_ratio = flows._guarded_ratio
+
+    def counting(base, tip):
+        calls.append((base, tip))
+        return guarded_ratio(base, tip)
+
+    monkeypatch.setattr(flows, "_guarded_ratio", counting)
+    for flow in catalog():
+        if flow.family.startswith("radical"):
+            assert check_translation(flow, random.Random(5), 200).passed
+    assert calls == []
+    # a radicand path through zero is left to the full test, which refuses it
+    with pytest.raises(BranchError):
+        ClosedFormFlow("radical_x", 1).eval((1, 1), -1.5)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("family,k", MONOMIAL_FLOWS)
@@ -137,6 +257,19 @@ def test_translation_radical_families():
         assert verify_translation(flow, samples).max_residual <= 1e-9
 
 
+def test_translation_counts_only_samples_that_move():
+    flow = ClosedFormFlow("parabolic")
+    # t = s = 0 leaves (0.3, 0.4) where it is; t = 0.1, s = 0.2 moves it
+    record = verify_translation(flow, [((0.3, 0.4), 0.0, 0.0), ((0.3, 0.4), 0.1, 0.2)])
+    assert record.n_samples == 1 and record.worst_sample in (None, ((0.3, 0.4), 0.1, 0.2))
+
+
+def test_translation_with_no_moved_sample_fails():
+    # at k = 200 the radical moves no point of its fixed sample domain
+    record = check_translation(ClosedFormFlow("radical_x", 200), random.Random(1), 20)
+    assert (record.n_samples, record.max_residual) == (0, 0.0) and not record.passed
+
+
 def test_translation_complex_times():
     rng = random.Random(12)
     flow = ClosedFormFlow("radical_x", 1)
@@ -202,6 +335,54 @@ def test_pde_sph_inf_includes_the_diagonal():
     field = flow.vector_field()
     points = [(0.5, 0.5), (1.0, 1.0), (-0.3, -0.3)]
     assert verify_pde(flow, field, points).max_residual <= 1e-6
+
+
+def _tuple_rk4(field, start, t_end, steps):
+    """Reference copy of the RK4 loop that builds a tuple per stage point."""
+    h = t_end / steps
+
+    def guarded(q, step_index):
+        if field.lx and abs(q[0]) < flows.SINGULAR_DISTANCE:
+            raise SingularityApproachError(q, step_index)
+        if field.ly and abs(q[1]) < flows.SINGULAR_DISTANCE:
+            raise SingularityApproachError(q, step_index)
+        return field.eval_field(q)
+
+    path = [(complex(start[0]), complex(start[1]))]
+    p = path[0]
+    for step in range(steps):
+        k1 = guarded(p, step)
+        k2 = guarded((p[0] + 0.5 * h * k1[0], p[1] + 0.5 * h * k1[1]), step)
+        k3 = guarded((p[0] + 0.5 * h * k2[0], p[1] + 0.5 * h * k2[1]), step)
+        k4 = guarded((p[0] + h * k3[0], p[1] + h * k3[1]), step)
+        p = (
+            p[0] + h * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]) / 6,
+            p[1] + h * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]) / 6,
+        )
+        path.append(p)
+    return path
+
+
+@pytest.mark.parametrize("field,t_end", [
+    (ClosedFormFlow("radical_x", 1).vector_field(), 0.5),
+    (ClosedFormFlow("radical_y", 1).vector_field(), 0.5),
+    (nonalgebraic_field(), 0.3),
+], ids=["coordinate_y", "coordinate_x", "nonalgebraic_example"])
+def test_scalar_rk4_keeps_the_bits_of_the_tuple_loop(field, t_end):
+    # the three fields and spans of check_orbits
+    for start in ((1.0, 1.0), (0.7 + 0.2j, 1.3 - 0.1j)):
+        path = integrate_trajectory(field, start, t_end, 400)
+        reference = _tuple_rk4(field, start, t_end, 400)
+        assert [_bits(p) for p in path] == [_bits(p) for p in reference]
+
+
+def test_scalar_rk4_aborts_where_the_tuple_loop_does():
+    field = ClosedFormFlow("radical_y", 1).vector_field()
+    with pytest.raises(SingularityApproachError) as got:
+        integrate_trajectory(field, (1, 0.0015), -0.001, 5000)
+    with pytest.raises(SingularityApproachError) as want:
+        _tuple_rk4(field, (1, 0.0015), -0.001, 5000)
+    assert (got.value.step, _bits(got.value.point)) == (want.value.step, _bits(want.value.point))
 
 
 def test_trajectory_zero_field_constant():
@@ -289,7 +470,7 @@ def test_conjugate_flow_identity():
     flow = ClosedFormFlow("parabolic")
     samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(10)]
     values = [flow.eval(p, t) for p, t in samples]
-    assert _conjugation_residual(((1, 0), (0, 1)), flow.eval, values, samples) < 1e-14
+    assert max(_conjugation_residual(((1, 0), (0, 1)), flow.time_map, values, samples)) < 1e-14
 
 
 def test_conjugated_parabolic_is_sph_inf():
@@ -301,7 +482,7 @@ def test_conjugated_parabolic_is_sph_inf():
         ((rng.uniform(-1, 1), rng.uniform(-1, 1)), rng.uniform(-1, 1)) for _ in range(50)
     ]
     values = [sph.eval(p, t) for p, t in samples]
-    assert _conjugation_residual(L, parabolic.eval, values, samples) <= 1e-10
+    assert max(_conjugation_residual(L, parabolic.time_map, values, samples)) <= 1e-10
 
 
 def test_conjugation_closed_form_general_matrix():
@@ -319,7 +500,8 @@ def test_conjugation_closed_form_general_matrix():
         s = (c * x + d * y) ** 2
         closed_form = (d / det * s + x, -c / det * s + y)
         L = ((a, b), (c, d))
-        assert _conjugation_residual(L, parabolic.eval, [closed_form], [((x, y), 1.0)]) <= 1e-10
+        residuals = _conjugation_residual(L, parabolic.time_map, [closed_form], [((x, y), 1.0)])
+        assert max(residuals) <= 1e-10
 
 
 def test_triangular_family_fixes_parabolic():
@@ -332,7 +514,7 @@ def test_triangular_family_fixes_parabolic():
         t = rng.uniform(-1, 1)
         L = ((d * d, b), (0, d))
         value = parabolic.eval(p, t)
-        assert _conjugation_residual(L, parabolic.eval, [value], [(p, t)]) <= 1e-10
+        assert max(_conjugation_residual(L, parabolic.time_map, [value], [(p, t)])) <= 1e-10
 
 
 def test_flow_constructor_validation():

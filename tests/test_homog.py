@@ -83,7 +83,8 @@ def _eval_by_two_walks(field: RatVF, point):
     return walk(0, x, y) / denom, walk(1, x, y) / denom
 
 
-def test_eval_field_power_table_gives_the_same_floats_as_two_walks():
+def _two_walk_cases():
+    """Fields, points, and one field's points on its denominator locus, for the two-walk comparisons."""
     rng = random.Random(14)
 
     def dense(m):
@@ -102,12 +103,34 @@ def test_eval_field_power_table_gives_the_same_floats_as_two_walks():
     points = [(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(10)]
     points += [(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                 complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(10)]
+    return fields, points, sparse_dense, ((0, 1 + 0.5j), (1 - 0.5j, 0))
+
+
+def test_eval_field_power_table_gives_the_same_floats_as_two_walks():
+    fields, points, sparse_dense, singular = _two_walk_cases()
     for field in fields:
         for p in points:
             assert field.eval_field(p) == _eval_by_two_walks(field, p)
-    for p in ((0, 1 + 0.5j), (1 - 0.5j, 0)):
+    for p in singular:
         with pytest.raises(SingularPointError):
             sparse_dense.eval_field(p)
+
+
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+def test_evaluator_gives_the_bits_of_two_walks():
+    fields, points, sparse_dense, singular = _two_walk_cases()
+    for field in fields:
+        evaluate = field.evaluator()
+        assert field.evaluator() is evaluate  # built once per field
+        for p in points:
+            x, y = complex(p[0]), complex(p[1])
+            assert _bits(evaluate(x, y)) == _bits(_eval_by_two_walks(field, p))
+    for p in singular:
+        with pytest.raises(SingularPointError):
+            sparse_dense.evaluator()(complex(p[0]), complex(p[1]))
 
 
 def test_conjugate_by_identity():

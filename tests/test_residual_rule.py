@@ -78,14 +78,37 @@ def _nan_in(component, evaluate):
     return wrapped
 
 
+def _nan_time_map(flow, component):
+    """Bind the flow's time map, with its value in `component` replaced by NaN."""
+    object.__setattr__(flow, "time_map", _nan_in(component, flow.time_map))
+
+
 @dataclass(frozen=True)
 class NanFlow(ClosedFormFlow):
     """A cataloged flow whose time-t map reads NaN in one component."""
 
     nan_component: int = 0
 
-    def eval(self, point, t):
-        return _nan_in(self.nan_component, super().eval)(point, t)
+    def __post_init__(self):
+        super().__post_init__()
+        _nan_time_map(self, self.nan_component)
+
+
+def _nan_in_every_flow(monkeypatch, component):
+    """Every flow built from now on reads NaN in `component` (the CLI builds its own)."""
+    post_init = ClosedFormFlow.__post_init__
+
+    def nan_post_init(self):
+        post_init(self)
+        _nan_time_map(self, component)
+
+    monkeypatch.setattr(ClosedFormFlow, "__post_init__", nan_post_init)
+
+
+def _nan_in_every_field(monkeypatch, component):
+    """Every field's evaluator reads NaN in `component`."""
+    evaluator = RatVF.evaluator
+    monkeypatch.setattr(RatVF, "evaluator", lambda self: _nan_in(component, evaluator(self)))
 
 
 def _failing(records):
@@ -109,7 +132,7 @@ def test_both_pde_records_fail_on_a_nan_component(family, k, component):
 
 @pytest.mark.parametrize("component", [0, 1])
 def test_orbit_checks_fail_when_the_field_reads_nan(monkeypatch, component):
-    monkeypatch.setattr(RatVF, "eval_field", _nan_in(component, RatVF.eval_field))
+    _nan_in_every_field(monkeypatch, component)
     records = check_orbits(random.Random(3), 5, 20)
     # each orbit case (conservation along RK4, then the ODE) has a failing record
     assert {r.flow for r in _failing(records)} == {r.flow for r in records}
@@ -132,7 +155,7 @@ def test_numeric_field_symmetry_fails_on_a_nan_component(monkeypatch, component)
     identity = ((1, 0), (0, 1))  # nested pairs take the numeric route
     samples = [(0.5, 0.25), (-0.3, 0.7)]
     assert check_field_symmetry(identity, field, samples) == (True, 0.0)
-    monkeypatch.setattr(RatVF, "eval_field", _nan_in(component, RatVF.eval_field))
+    _nan_in_every_field(monkeypatch, component)
     ok, resid = check_field_symmetry(identity, field, samples)
     assert not ok and math.isnan(resid)
 
@@ -154,7 +177,7 @@ def _run_json(argv):
 
 @pytest.mark.parametrize("component", [0, 1])
 def test_verify_flow_exits_1_on_a_nan_flow(monkeypatch, component):
-    monkeypatch.setattr(ClosedFormFlow, "eval", _nan_in(component, ClosedFormFlow.eval))
+    _nan_in_every_flow(monkeypatch, component)
     argv = ["verify-flow", "--family", "parabolic", "--samples", "5", "--format", "json"]
     code, (record,) = _run_json(argv)
     # the NaN residual is written as null, and the check still fails
@@ -163,7 +186,7 @@ def test_verify_flow_exits_1_on_a_nan_flow(monkeypatch, component):
 
 @pytest.mark.parametrize("component", [0, 1])
 def test_symmetry_json_writes_a_nan_residual_as_null(monkeypatch, component):
-    monkeypatch.setattr(ClosedFormFlow, "eval", _nan_in(component, ClosedFormFlow.eval))
+    _nan_in_every_flow(monkeypatch, component)
     argv = ["symmetry", "--family", "delta_tilde", "--draws", "3", "--format", "json"]
     code, (report,) = _run_json(argv)
     assert code == 1
