@@ -581,10 +581,10 @@ def as_cycnum(value) -> CycNum:
 
 
 def root_of_unity(order: int, power: int = 1) -> CycNum:
-    """zeta_order**power in canonical reduced form."""
+    """zeta_order**power in canonical reduced form: one row of the power table."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    return CycNum.from_powers(order, {power % order: 1})
+    return CycNum._raw(order, _reduced_power(order, power % order), 1)
 
 
 def torsion_root(order: int, power: int) -> CycNum:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .cyclotomic import CycNum, as_cycnum
+from .cyclotomic import CycNum, as_cycnum, torsion_root
 from .errors import NonMonomialDenominatorError, SingularPointError
 from .matgroup import Mat2
 
@@ -215,7 +215,9 @@ class RatVF:
         e[k] = s^k t^(1-k), k = a - 1 + c; antidiag(s, t) applies the same
         factor and sends the term to (1 - c, 2 - a), which reverses the term
         order.  L keeps its factors, keyed by k, in its `_factors` slot, so
-        every later field reuses them.  Any other invertible L needs a
+        every later field reuses them.  An element of a MonomialGroup reads
+        each factor off its exponents as one root of unity; any other
+        diagonal or antidiagonal L builds them by products from t.  Any other invertible L needs a
         trivial denominator and takes the generic branch, which substitutes
         L into the at most six terms; with a nontrivial denominator the
         image denominator would not be a monomial, and
@@ -408,14 +410,22 @@ def _field_evaluator(terms, lx: int, ly: int):
 def _monomial_factors(L: Mat2, s: CycNum, t: CycNum, lo: int, hi: int) -> dict:
     """L's factors e[k] = s^k t^(1-k), kept on L and extended to cover lo <= k <= hi.
 
-    The keys always form one run of integers around e[0] = t: the factors
-    grow from t by s/t upward and by t/s downward.
+    A MonomialGroup element records its exponents (n, s, t), and each
+    missing e[k] is the root zeta_n^(ks + (1-k)t), read off the power table
+    with no product.  For any other matrix the keys form one run of
+    integers around e[0] = t: the factors grow from t by s/t upward and by
+    t/s downward.
     """
     e = L._factors
     if e is None:
         e = {0: t}
         object.__setattr__(L, "_factors", e)
-    if lo not in e or hi not in e:
+    if L._exponents is not None:
+        n, es, et = L._exponents
+        for k in range(lo, hi + 1):
+            if k not in e:
+                e[k] = torsion_root(L.conductor, (k * es + (1 - k) * et) % n)
+    elif lo not in e or hi not in e:
         top, bottom = max(e), min(e)
         if top < hi:
             up = s * t.inverse()

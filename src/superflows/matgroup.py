@@ -39,11 +39,13 @@ class Mat2:
     The entries are immutable.  `_factors` is filled lazily by
     RatVF.conjugate: for a diagonal or antidiagonal matrix, with s and t its
     nonzero entries, it is keyed by k and holds the conjugation factor
-    s^k t^(1-k) over one run of k, so a group element builds each factor
-    once and frees them with itself.
+    s^k t^(1-k), so a group element builds each factor once and frees them
+    with itself.  `_exponents` is None, or the plain ints (n, s, t) of an
+    element that MonomialGroup wrote out, whose nonzero entries are zeta_n^s
+    and zeta_n^t; its factors are then the roots zeta_n^(ks + (1-k)t).
     """
 
-    __slots__ = ("a", "b", "c", "d", "_factors")
+    __slots__ = ("a", "b", "c", "d", "_factors", "_exponents")
 
     def __init__(self, a, b, c, d):
         entries = [v if v.__class__ is CycNum else as_cycnum(v) for v in (a, b, c, d)]
@@ -56,6 +58,7 @@ class Mat2:
         object.__setattr__(self, "c", entries[2])
         object.__setattr__(self, "d", entries[3])
         object.__setattr__(self, "_factors", None)
+        object.__setattr__(self, "_exponents", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat2 is immutable")
@@ -357,11 +360,15 @@ class MonomialGroup(FiniteMatrixGroup):
         return torsion_root(self.conductor, k)
 
     def _matrix(self, triple) -> Mat2:
+        """The element as a Mat2 that records its exponents (n, s, t)."""
         kind, s, t = triple
         zero = CycNum.zero(self.conductor)
         if kind:
-            return Mat2(zero, self.root(s), self.root(t), zero)
-        return Mat2(self.root(s), zero, zero, self.root(t))
+            matrix = Mat2(zero, self.root(s), self.root(t), zero)
+        else:
+            matrix = Mat2(self.root(s), zero, zero, self.root(t))
+        object.__setattr__(matrix, "_exponents", (self.n, s, t))
+        return matrix
 
     @cached_property
     def generators(self) -> list:

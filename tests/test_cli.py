@@ -117,6 +117,13 @@ def test_verify_flow_with_no_moved_sample_fails():
     assert out.splitlines()[1] == "radical_x(k=200)  translation: n=0  max_residual=0.000e+00"
 
 
+def test_verify_pde_with_zero_fields_only_fails():
+    # at k = 1500 both fields read 0 at every drawn point, so no extraction sample counts
+    code, out = run_cli(["verify-pde", "--family", "radical_x", "--k", "1500", "--samples", "20"])
+    assert code == 1
+    assert out.splitlines()[2] == "radical_x(k=1500)  vector_field_extraction: n=0  max_residual=0.000e+00"
+
+
 def test_verify_flow_deterministic():
     argv = ["verify-flow", "--family", "radical_x", "--k", "1", "--samples", "50", "--seed", "9", "--format", "json"]
     _, first = run_cli(argv)

@@ -27,6 +27,13 @@ def random_cyc(rng, order):
     return CycNum(order, coeffs)
 
 
+def test_root_of_unity_is_the_row_from_powers_builds():
+    for n in range(1, 65):
+        for j in range(-2 * n, 2 * n):
+            got, want = root_of_unity(n, j), CycNum.from_powers(n, {j % n: 1})
+            assert (got.order, got._num, got._den) == (want.order, want._num, want._den)
+
+
 def test_cyclotomic_polynomials_known():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)

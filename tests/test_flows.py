@@ -40,8 +40,13 @@ def _segment_min_abs(z0, z1):
     dz = z1 - z0
     length2 = abs(dz) ** 2
     if length2 == 0.0:
-        return abs(z0)
-    s = -(z0.real * dz.real + z0.imag * dz.imag) / length2
+        if dz == 0:
+            return abs(z0)
+        length = abs(dz)
+        u = dz / length
+        s = -(z0.real * u.real + z0.imag * u.imag) / length
+    else:
+        s = -(z0.real * dz.real + z0.imag * dz.imag) / length2
     s = min(1.0, max(0.0, s))
     return abs(z0 + s * dz)
 
@@ -184,6 +189,17 @@ def test_catalog_samples_take_the_fast_accept(monkeypatch):
     assert len(calls) == 1
 
 
+def test_radicand_path_to_zero_is_refused_below_the_square_underflow():
+    # |tip - base| ~ 2e-232 squares to 0; the path still ends at 0
+    with pytest.raises(BranchError):
+        ClosedFormFlow("radical_y", 3).eval(
+            (1, 2.4587897693815043e-39 + 5.276969251811103e-61j),
+            -2.2096749104337225e-232 - 2.845396553392277e-253j,
+        )
+    assert flows._segment_min_abs(-1e-170 + 0j, 1e-170 + 0j) == 0.0
+    assert flows._segment_min_abs(1e-170 + 0j, 3e-170 + 0j) == 1e-170
+
+
 @pytest.mark.parametrize("family,k", MONOMIAL_FLOWS)
 def test_monomial_flow_field_is_one_term(family, k):
     if family == "parabolic":
@@ -268,6 +284,15 @@ def test_translation_with_no_moved_sample_fails():
     # at k = 200 the radical moves no point of its fixed sample domain
     record = check_translation(ClosedFormFlow("radical_x", 200), random.Random(1), 20)
     assert (record.n_samples, record.max_residual) == (0, 0.0) and not record.passed
+
+
+def test_extraction_counts_only_points_where_a_field_is_nonzero():
+    # at k = 1500 the extracted and the exact field both read 0 at every drawn point
+    pde, extraction = check_pde(ClosedFormFlow("radical_x", 1500), random.Random(1), 20)
+    assert pde.n_samples == 20 and pde.passed
+    assert (extraction.n_samples, extraction.max_residual) == (0, 0.0) and not extraction.passed
+    for flow in catalog():
+        assert check_pde(flow, random.Random(3), 30)[1].n_samples == 30
 
 
 def test_translation_complex_times():

@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from monomial_groups import monomial_generators
 
 from superflows import cyclotomic
 from superflows.cyclotomic import CycNum, root_of_unity
 from superflows.errors import NonMonomialDenominatorError, SingularPointError
 from superflows.flows import catalog, nonalgebraic_field
-from superflows.homog import HomPoly, RatVF, monomial_field, reynolds_average
-from superflows.matgroup import Mat2, alpha_group, alpha_matrix, generate_group, tau
+from superflows.homog import HomPoly, RatVF, _monomial_factors, monomial_field, reynolds_average
+from superflows.matgroup import Mat2, MonomialGroup, alpha_group, alpha_matrix, generate_group, tau
 
 
 def test_field_monomial_cancellation():
@@ -281,7 +282,32 @@ def test_conjugation_factors_kept_on_the_matrix_match_a_fresh_build():
                 assert _keys(kept) == _keys(fresh)
 
 
-def test_second_conjugation_of_a_shape_inverts_nothing(monkeypatch):
+def test_factors_read_off_the_exponents_match_the_walk():
+    # a MonomialGroup element reads e[k] off its exponents; the same matrix
+    # built from its entries alone walks from t by products
+    groups = [alpha_group(m) for m in range(3, 41)]
+    groups += [
+        MonomialGroup.from_matrices(gens)
+        for gens in monomial_generators()
+        if any(g.is_antidiagonal() for g in gens)
+    ]
+    for group in groups:
+        for L in group.elements:
+            walker = Mat2(*L.entries())
+            assert L._exponents is not None and walker._exponents is None
+            s, t = (L.a, L.d) if L.is_diagonal() else (L.b, L.c)
+            read = _monomial_factors(L, s, t, -8, 10)
+            walked = _monomial_factors(walker, s, t, -8, 10)
+            for k in range(-8, 11):
+                assert read[k] == walked[k]
+                assert (read[k].order, read[k].key()) == (walked[k].order, walked[k].key())
+    L = alpha_group(5).elements[1]
+    assert (L * L)._exponents is None and L.lift(20)._exponents is None
+
+
+@pytest.fixture
+def inverse_calls(monkeypatch):
+    """The receivers of CycNum.inverse, recorded while the test runs."""
     calls = []
     inverse = CycNum.inverse
 
@@ -290,6 +316,18 @@ def test_second_conjugation_of_a_shape_inverts_nothing(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(CycNum, "inverse", counting_inverse)
+    return calls
+
+
+def test_conjugation_by_a_monomial_group_inverts_nothing(inverse_calls):
+    field = _dense_polynomial_field(random.Random(71), 9, 2, 1)
+    for L in alpha_group(9).elements:
+        field.conjugate(L)
+    assert inverse_calls == []
+
+
+def test_second_conjugation_of_a_shape_inverts_nothing(inverse_calls):
+    calls = inverse_calls
     rng = random.Random(67)
     for L in (alpha_matrix(7), tau(), Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0)):
         first, second = (_dense_polynomial_field(rng, 7, 2, 1) for _ in range(2))
