@@ -165,7 +165,7 @@ def cmd_symmetry(args) -> int:
     flow = _make_flow(symmetry.FAMILIES[args.family][0], args)
     family = symmetry.flow_symmetry_family(flow)
     rng = random.Random(args.seed)
-    samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(20)]
+    samples = symmetry.draw_samples(flow, rng)
     (record,) = _judge([symmetry.check_family_draws(flow, samples, rng, args.draws)], args)
     if args.format == "json":
         report = {

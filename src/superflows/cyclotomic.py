@@ -17,17 +17,17 @@ order before anything is lifted, and a rational factor scales the other
 factor's numerators, lifting them only when the rational's order does not
 divide theirs.  Both return exactly the full product, order and key
 included.  Values are immutable, so the zero of each order is one shared
-instance, built once.  An element of modulus one, every root of unity among
-them, is inverted by complex conjugation, confirmed by one exact product;
-any other element through its norm, the product of its Galois conjugates.
+instance, built once.  A root of unity zeta_L^j is inverted by its
+exponent, as zeta_L^(-j); any other element through its norm, the product
+of its Galois conjugates.
 
 CycNum.sum adds any number of terms in one accumulation: the lcm of their
 orders and of their denominators, integer numerators summed with a lift only
 for nonzero terms of another order, and one cancellation at the end; binary
 + is its two-term case.  Equality across orders lifts nothing when either
-side is rational, because 1 heads every power basis.  A root of unity's
-multiplicative order is read off the phase of its embedding and confirmed
-by one exact comparison, so it takes no power.
+side is rational, because 1 heads every power basis.  Which root of unity
+an element is, if any, is read once, by torsion_log: the phase of its
+embedding names the exponent, and one exact comparison confirms it.
 """
 
 from __future__ import annotations
@@ -44,21 +44,17 @@ __all__ = [
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# an embedding this close to modulus one makes an element a root-of-unity candidate
+_UNIT_MODULUS_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
-    result, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    result = n
+    for p in _prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -376,30 +372,23 @@ class CycNum:
             other = other.lift(n)
         return _canonical(n, [p * v for v in other._num], self._den * other._den)
 
-    def _complex_conjugate(self) -> "CycNum":
-        """The image under z -> z^(-1), complex conjugation in Q(zeta_N)."""
-        return CycNum._raw(self.order, _power_map(self._num, self.order, -1), self._den)
-
     def inverse(self) -> "CycNum":
         """Multiplicative inverse.
 
-        A rational inverts its one coordinate.  For u with |u| = 1, every
-        root of unity among them, the inverse is the complex conjugate
-        (u**(lcm(2, N) - 1) when u is a root of unity); a modulus within
-        1e-9 of one only selects that candidate, one exact product u * cand
-        confirms it.  Any other u is inverted through its norm: the product
-        P of its Galois conjugates z -> z^k, 1 < k < N coprime to N, is
-        N(u) / u with N(u) rational, so 1/u = P / N(u).
+        A rational inverts its one coordinate.  A root of unity zeta_L^j
+        (torsion_log) inverts to zeta_L^(-j), one row of the power table.
+        Any other u, those of modulus one included, is inverted through its
+        norm: the product P of its Galois conjugates z -> z^k, 1 < k < N
+        coprime to N, is N(u) / u with N(u) rational, so 1/u = P / N(u).
         """
         if self.is_zero():
             raise ZeroDivisionError(f"division by zero in Q(zeta_{self.order})")
         n, num, den = self.order, self._num, self._den
         if self.is_rational():
             return CycNum.rational(Fraction(den, num[0]), n)
-        if abs(abs(self.embed()) - 1.0) <= 1e-9:
-            cand = self._complex_conjugate()
-            if self * cand == 1:
-                return cand
+        j = self.torsion_log()
+        if j is not None:
+            return torsion_root(n, -j)
         others = CycNum.one(n)
         for k in range(2, n):
             if math.gcd(k, n) == 1:
@@ -421,18 +410,7 @@ class CycNum:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = CycNum.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return binary_power(self, exponent, CycNum.one(self.order))
 
     def __eq__(self, other):
         other = CycNum._coerce(other)
@@ -471,27 +449,36 @@ class CycNum:
                 total += (c / den) * cmath.exp(2j * cmath.pi * i / n)
         return total
 
+    def torsion_log(self):
+        """The j, 0 <= j < L = lcm(2, N), with self == torsion_root(N, j), or None.
+
+        The roots of unity in Q(zeta_N) are the powers of zeta_L.  For an
+        embedding of modulus one, its phase names the one candidate j, and
+        one exact comparison at the element's own order confirms it.
+        """
+        z = self.embed()
+        if abs(abs(z) - 1.0) > _UNIT_MODULUS_TOL:
+            return None
+        bound = math.lcm(2, self.order)
+        j = round(cmath.phase(z) * bound / math.tau) % bound
+        return j if self == torsion_root(self.order, j) else None
+
     def multiplicative_order(self):
         """Smallest k >= 1 with self**k == 1, or None if not a root of unity.
 
-        The roots of unity contained in Q(zeta_N) form the cyclic group of
-        order L = lcm(2, N).  The phase of the embedding names the one
-        candidate zeta_L^j, and one exact comparison confirms it; the order
-        is then L / gcd(L, j).  An element of modulus one that is not that
-        candidate is a root of unity exactly when self**L == 1; its order
+        A root zeta_L^j, L = lcm(2, N), read by torsion_log, has order
+        L / gcd(L, j).  An element of modulus one that torsion_log does not
+        confirm is a root of unity exactly when self**L == 1; its order
         divides L, and each prime p of L is stripped from it while
         self**(order/p) is still one.
         """
         if self.is_zero():
             raise ValueError("zero has no multiplicative order")
-        z = self.embed()
-        if abs(abs(z) - 1.0) > 1e-9:
-            return None
         bound = math.lcm(2, self.order)
-        j = round(cmath.phase(z) * bound / math.tau) % bound
-        if self == torsion_root(self.order, j):
+        j = self.torsion_log()
+        if j is not None:
             return bound // math.gcd(bound, j)
-        if (self ** bound) != 1:
+        if abs(abs(self.embed()) - 1.0) > _UNIT_MODULUS_TOL or self ** bound != 1:
             return None
         order = bound
         for p in _prime_factors(bound):
@@ -578,6 +565,20 @@ def as_cycnum(value) -> CycNum:
     if out is None:
         raise TypeError(f"need an exact value (CycNum, int or Fraction), got {value!r}")
     return out
+
+
+def binary_power(base, exponent: int, one):
+    """base**exponent by square-and-multiply from `one`; a negative exponent inverts base first."""
+    if exponent < 0:
+        base, exponent = base.inverse(), -exponent
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 def root_of_unity(order: int, power: int = 1) -> CycNum:

@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycNum, as_cycnum
-from .homog import RatVF, monomial_field, reynolds_average
+from .cyclotomic import CycNum
+from .homog import RatVF, reynolds_average
 from .matgroup import FiniteMatrixGroup, MonomialGroup, alpha_group
 
 __all__ = [
@@ -85,11 +85,6 @@ def _least_survivors(group: MonomialGroup):
     return degree, [(component, a) for d, component, a in members if d == degree]
 
 
-def _laurent_monomial(component: int, a: int, coeff=1) -> RatVF:
-    """coeff x^a y^(2-a) in one component, over its minimal monomial denominator."""
-    return RatVF.from_terms(((component, a, as_cycnum(coeff)),))
-
-
 def _subtract(row: dict, factor: CycNum, other: dict) -> dict:
     """row - factor * other over (component, a), without the keys that cancel."""
     out = dict(row)
@@ -139,11 +134,10 @@ def invariant_space(group: FiniteMatrixGroup, lx: int, ly: int) -> list[RatVF]:
     """
     if lx < 0 or ly < 0:
         raise ValueError("denominator exponents must be non-negative")
-    deg = lx + ly + 2
     averages = [
-        reynolds_average(group, monomial_field(component, i, lx, ly))
+        reynolds_average(group, RatVF.monomial(component, a))
         for component in (0, 1)
-        for i in range(deg + 1)
+        for a in range(-lx, ly + 3)
     ]
     return _eliminate(averages)
 
@@ -218,7 +212,7 @@ def find_superflow(
         for deg in range(last + 1):
             # degree deg adds to the span only x^a y^(2-a) with a = -deg and deg + 2
             new = (0, 1, 2) if deg == 0 else (-deg, deg + 2)
-            averages += [reynolds_average(group, _laurent_monomial(component, a))
+            averages += [reynolds_average(group, RatVF.monomial(component, a))
                          for component in (0, 1) for a in new]
             basis = _eliminate(averages)
             if basis:
@@ -235,10 +229,10 @@ def find_superflow(
     if dimension > 1:
         return SuperflowVerdict("not_unique", None, degree, dimension)
     component, a = least[0]
-    field = _laurent_monomial(component, a)
+    field = RatVF.monomial(component, a)
     if swap is not None:
         image = monomial.root(_exponent(component, a, swap[1], swap[2]))
-        field = field + _laurent_monomial(1 - component, 2 - a, image)
+        field = field + RatVF.monomial(1 - component, 2 - a, image)
     return SuperflowVerdict("superflow", field.normalized(), degree, 1)
 
 

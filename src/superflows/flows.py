@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
 
-from .cyclotomic import as_cycnum
 from .errors import BranchError, SingularityApproachError, SingularPointError
 from .homog import HomPoly, RatVF
 
@@ -52,8 +51,6 @@ __all__ = [
     "nonalgebraic_field",
     "catalog",
 ]
-
-FAMILIES = ("parabolic", "sph_inf", "level0", "radical_x", "radical_y")
 
 EXTRACTION_STEP = 1e-5  # time step of the field extraction's differences
 DIFFERENCE_STEP = 1e-6  # spatial step of the PDE and orbit-ODE partials
@@ -137,6 +134,7 @@ SAMPLE_RANGES = {
     "radical_x": ((0.8, 1.2), (0.3, 0.7), (-0.05, 0.05)),
     "radical_y": ((0.3, 0.7), (0.8, 1.2), (-0.05, 0.05)),
 }
+FAMILIES = tuple(SAMPLE_RANGES)
 # each range as (low, high - low): low + width * random() is what random.uniform computes
 _DRAWS = {
     family: tuple((lo, hi - lo) for lo, hi in ranges) for family, ranges in SAMPLE_RANGES.items()
@@ -183,7 +181,7 @@ class ClosedFormFlow:
         if self._monomial is not None:
             component, n = self._monomial
             a = 1 - n if component == 0 else n + 1
-            return RatVF.from_terms([(component, a, as_cycnum(Fraction(1, n)))])
+            return RatVF.monomial(component, a, Fraction(1, n))
         if self.family == "sph_inf":
             sq = HomPoly(2, [1, -2, 1])
             return RatVF(sq, sq)

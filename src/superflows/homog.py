@@ -11,8 +11,10 @@ is the lcm of the labels of the nonzero terms summed into it.
 
 A HomPoly of degree d holds the coefficient of x^i y^(d-i) at index i.  It
 is only the dense input form: RatVF(num_x, num_y, lx, ly) reads two of
-them over x^lx y^ly, so the term at index i has a = i - lx.
-RatVF.normalized() scales the first term's coefficient to one.
+them over x^lx y^ly, so the term at index i has a = i - lx.  A single
+Laurent monomial field is built by RatVF.monomial, and monomial_field
+indexes the same fields by a denominator.  RatVF.normalized() scales the
+first term's coefficient to one.
 
 Everything in this module is exact; floating point appears only in a
 field's evaluator.
@@ -41,18 +43,6 @@ class HomPoly:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
         self.degree = degree
         self.coeffs = coeffs
-
-    @staticmethod
-    def zero(degree: int) -> "HomPoly":
-        return HomPoly(degree, [CycNum.zero()] * (degree + 1))
-
-    @staticmethod
-    def monomial(degree: int, i: int, coeff=1) -> "HomPoly":
-        if not 0 <= i <= degree:
-            raise ValueError("monomial index out of range")
-        vec = [CycNum.zero()] * (degree + 1)
-        vec[i] = as_cycnum(coeff)
-        return HomPoly(degree, vec)
 
 
 _POLY_TERM_RE = re.compile(r"\{([^}]*)\}\*x\^(\d+)\*y\^(\d+)")
@@ -121,6 +111,14 @@ class RatVF:
     @staticmethod
     def zero() -> "RatVF":
         return RatVF.from_terms(())
+
+    @staticmethod
+    def monomial(component: int, a: int, coeff=1) -> "RatVF":
+        """coeff x^a y^(2-a) in component 0 (first) or 1 (second), over its least denominator."""
+        if component not in (0, 1):
+            raise ValueError("component must be 0 (first) or 1 (second)")
+        c = as_cycnum(coeff)
+        return RatVF.from_terms(((component, a, c),) if c else ())
 
     @property
     def is_zero(self) -> bool:
@@ -439,12 +437,12 @@ def _monomial_factors(L: Mat2, s: CycNum, t: CycNum, lo: int, hi: int) -> dict:
 
 
 def monomial_field(component: int, i: int, lx: int, ly: int, coeff=1) -> RatVF:
-    """The basis field with x^i y^(lx+ly+2-i) / x^lx y^ly in one component."""
-    if component not in (0, 1):
-        raise ValueError("component must be 0 (first) or 1 (second)")
-    deg = lx + ly + 2
-    num, zero = HomPoly.monomial(deg, i, coeff), HomPoly.zero(deg)
-    return RatVF(num, zero, lx, ly) if component == 0 else RatVF(zero, num, lx, ly)
+    """x^i y^(lx+ly+2-i) / x^lx y^ly in one component: RatVF.monomial at a = i - lx."""
+    if lx < 0 or ly < 0:
+        raise ValueError("denominator exponents must be non-negative")
+    if not 0 <= i <= lx + ly + 2:
+        raise ValueError("monomial index out of range")
+    return RatVF.monomial(component, i - lx, coeff)
 
 
 def reynolds_average(group, field: RatVF) -> RatVF:

@@ -11,12 +11,11 @@ additions) and written as matrices only when its elements are asked for.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import cached_property
 from itertools import combinations
 
-from .cyclotomic import CycNum, as_cycnum, root_of_unity, torsion_root
+from .cyclotomic import CycNum, as_cycnum, binary_power, root_of_unity, torsion_root
 from .errors import CapExceededError
 
 __all__ = [
@@ -117,18 +116,7 @@ class Mat2:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Mat2.identity(self.conductor)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return binary_power(self, exponent, Mat2.identity(self.conductor))
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):
@@ -243,11 +231,11 @@ def generate_group(generators) -> FiniteMatrixGroup:
 
 
 def _discrete_log(u: CycNum, n: int) -> int:
-    """The k with u == zeta_n^k: guessed from the embedding, confirmed exactly."""
-    k = round(cmath.phase(u.embed()) * n / math.tau) % n
-    if root_of_unity(n, k) != u:
+    """The k with u == zeta_n^k, n a multiple of lcm(2, u.order): u's torsion_log, rescaled to n."""
+    j = u.torsion_log()
+    if j is None:
         raise ValueError(f"{u.to_text()} is not a power of zeta_{n}")
-    return k
+    return j * (n // math.lcm(2, u.order))
 
 
 def _times(g, h, n: int):

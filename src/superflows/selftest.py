@@ -94,7 +94,7 @@ def criterion_character_sums() -> CriterionResult:
         for component in (0, 1):
             solved = engine._survivor_class(group, component)
             for a in range(1 - n // 2, n // 2 + 1):
-                field = engine._laurent_monomial(component, a)
+                field = RatVF.monomial(component, a)
                 survives = solved is not None and (a - solved[0]) % solved[1] == 0
                 want = field if survives else RatVF.zero()
                 checked += 1
@@ -179,7 +179,7 @@ def criterion_symmetry_families() -> CriterionResult:
         flows.ClosedFormFlow("sph_inf"),
     ]
     for flow in paired:
-        samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(20)]
+        samples = symmetry.draw_samples(flow, rng)
         problems += _failures([symmetry.check_family_draws(flow, samples, rng, 20)])
         # off-family: random invertible matrices must all fail
         fails = 0

@@ -40,12 +40,18 @@ __all__ = [
     "check_flow_symmetry",
     "check_family_draws",
     "diagonal_symmetry_solve",
+    "draw_samples",
     "family_finite_order",
     "flow_symmetry_family",
     "FAMILIES",
 ]
 
 SYMMETRY_TOL = 1e-8
+
+
+def draw_samples(flow: ClosedFormFlow, rng) -> list:
+    """The 20 (point, time) pairs a flow's symmetry checks run at, each point drawn first."""
+    return [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(20)]
 
 
 @dataclass(frozen=True)
@@ -171,6 +177,8 @@ def _sup(residuals) -> float:
 def _flow_side(flow: ClosedFormFlow, samples):
     """The samples (p, t) as complex scalars, and phi^t(p) at each: the side no L changes."""
     points = [((complex(p[0]), complex(p[1])), complex(t)) for p, t in samples]
+    if not points:
+        raise ValueError("flow symmetry check needs sample points")
     phi = flow.time_map
     return points, [phi(x, y, t) for (x, y), t in points]
 
@@ -181,20 +189,20 @@ def check_field_symmetry(L, field: RatVF, samples=None):
     Exact matrices take the exact symbolic route whenever the conjugation
     stays inside monomial denominators (diagonal or antidiagonal L, or a
     polynomial field); the numeric route compares values at sample points
-    and needs `samples`.
+    and needs at least one.
     """
     exact = isinstance(L, Mat2) and (
         L.is_diagonal() or L.is_antidiagonal() or (field.lx == 0 and field.ly == 0)
     )
     if exact and field.conjugate(L) == field:
         return True, 0.0
-    if samples is None:
+    points = [((complex(p[0]), complex(p[1])), None) for p in samples or ()]
+    if not points:
         if exact:
             return False, float("inf")
         raise ValueError("numeric symmetry check needs sample points")
 
     evaluate = field.evaluator()
-    points = [((complex(p[0]), complex(p[1])), None) for p in samples]
     values = [evaluate(x, y) for (x, y), _ in points]
     resid = _sup(_conjugation_residual(L, lambda x, y, _: evaluate(x, y), values, points))
     # an exact conjugate that differs fails whatever the samples show

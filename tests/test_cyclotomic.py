@@ -8,7 +8,9 @@ import pytest
 
 from superflows.cyclotomic import (
     CycNum,
+    _power_map,
     as_cycnum,
+    binary_power,
     cyclotomic_polynomial,
     euler_phi,
     root_of_unity,
@@ -244,6 +246,53 @@ def test_power_negative_exponent():
     z = root_of_unity(9, 2)
     assert z ** -1 == z.inverse()
     assert z ** -4 == (z ** 4).inverse()
+
+
+@pytest.mark.parametrize("order", [1, 7, 12, 15])
+def test_binary_power_is_repeated_products(order):
+    one = CycNum.one(order)
+    dense = CycNum(order, [Fraction(i + 1, 2) for i in range(euler_phi(order))])
+    for x in (dense, torsion_root(order, 1)):
+        for e in range(-6, 13):  # e = 0 gives the one of the order
+            want, factor = one, x if e >= 0 else x.inverse()
+            for _ in range(abs(e)):
+                want = want * factor
+            assert binary_power(x, e, one).key() == want.key()
+            assert (x ** e).key() == want.key()
+
+
+def test_torsion_log_reads_every_root_and_inverts_it_to_its_conjugate():
+    for n in range(1, 65):
+        for j in range(math.lcm(2, n)):
+            root = torsion_root(n, j)
+            assert root.torsion_log() == j
+            conjugate = CycNum._raw(n, _power_map(root._num, n, -1), root._den)
+            assert root.inverse().key() == conjugate.key()
+
+
+def test_torsion_log_of_a_non_root_is_none():
+    three_four_i = CycNum(4, [Fraction(3, 5), Fraction(4, 5)])  # modulus one, no root
+    for u in (CycNum.rational(2), 1 + root_of_unity(5), three_four_i, CycNum.zero(6)):
+        assert u.torsion_log() is None
+
+
+def _euler_phi_by_trial_division(n):
+    """The former euler_phi, with a trial division of its own."""
+    result, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            result -= result // p
+        p += 1
+    if m > 1:
+        result -= result // m
+    return result
+
+
+def test_euler_phi_matches_trial_division():
+    for n in range(1, 2001):
+        assert euler_phi(n) == _euler_phi_by_trial_division(n)
 
 
 def test_power_table_at_large_conductor():

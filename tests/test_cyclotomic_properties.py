@@ -162,7 +162,7 @@ def test_unit_modulus_non_root_inverse():
 
 
 def test_inverse_falls_back_when_conjugate_fails():
-    # modulus within 1e-9 of one, so conjugation is tried, but u * conj(u) != 1
+    # modulus within 1e-9 of one, so torsion_log compares, but u is no root: the norm inverts it
     u = root_of_unity(7, 2) * Fraction(10**12 + 1, 10**12)
     assert abs(abs(u.embed()) - 1) <= 1e-9
     assert same(u.inverse(), oracle(u).inverse())

@@ -16,16 +16,17 @@ from superflows.matgroup import Mat2, MonomialGroup, alpha_group, alpha_matrix, 
 
 def test_field_monomial_cancellation():
     # (x y^4) / x^3 reduces to y^4 / x^2
-    field = RatVF(HomPoly.monomial(5, 1), HomPoly.zero(5), 3, 0)
+    field = RatVF(HomPoly(5, [0, 1, 0, 0, 0, 0]), HomPoly(5, [0] * 6), 3, 0)
     assert (field.lx, field.ly) == (2, 0)
     assert field == monomial_field(0, 0, 2, 0)
 
 
 def test_zero_field_is_canonical():
-    z = RatVF(HomPoly.zero(6), HomPoly.zero(6), 3, 1)
-    assert z.is_zero
-    assert (z.lx, z.ly) == (0, 0)
-    assert z == RatVF.zero()
+    for z in (RatVF(HomPoly(6, [0] * 7), HomPoly(6, [0] * 7), 3, 1),
+              RatVF.monomial(1, 5, 0), monomial_field(0, 1, 3, 1, coeff=0)):
+        assert z.is_zero
+        assert (z.lx, z.ly) == (0, 0)
+        assert z == RatVF.zero()
 
 
 def test_eval_field_values():
@@ -547,12 +548,28 @@ def test_field_addition_mixed_denominators():
 
 
 def test_homog_monomial_rejects_an_index_outside_the_degree():
-    assert HomPoly.monomial(2, 2).coeffs[2] == 1
+    assert monomial_field(0, 2, 0, 0).terms == ((0, 2, CycNum.one()),)
     for i in (-1, 3, 5):
         with pytest.raises(ValueError, match="monomial index out of range"):
-            HomPoly.monomial(2, i)
+            monomial_field(0, i, 0, 0)
     with pytest.raises(ValueError, match="monomial index out of range"):
         monomial_field(0, 5, 1, 0)
+    with pytest.raises(ValueError, match="denominator exponents"):
+        monomial_field(0, 0, -1, 1)
+    for component in (-1, 2):
+        with pytest.raises(ValueError, match="component must be"):
+            RatVF.monomial(component, 1)
+
+
+def test_laurent_monomial_is_the_monomial_field_at_every_denominator_split():
+    # x^i y^(D+2-i) / x^lx y^(D-lx) is the Laurent monomial a = i - lx
+    coeff = root_of_unity(5, 2) * 3
+    for component in (0, 1):
+        for deg in range(5):
+            for lx in range(deg + 1):
+                for i in range(deg + 3):
+                    want = monomial_field(component, i, lx, deg - lx, coeff)
+                    assert _keys(RatVF.monomial(component, i - lx, coeff)) == _keys(want)
 
 
 def test_parse_reads_a_half_without_a_denominator_over_one():
@@ -576,7 +593,7 @@ def test_text_round_trip():
             root_of_unity(6, rng.randrange(6)) * Fraction(rng.randint(-2, 2), rng.randint(1, 2))
             for _ in range(deg + 1)
         ]
-        v = RatVF(HomPoly(deg, coeffs), HomPoly.zero(deg), lx, ly)
+        v = RatVF(HomPoly(deg, coeffs), HomPoly(deg, [0] * (deg + 1)), lx, ly)
         assert RatVF.parse(v.to_text()) == v
     assert RatVF.parse(RatVF.zero().to_text()) == RatVF.zero()
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from superflows import matgroup
-from superflows.cyclotomic import CycNum, root_of_unity
+from superflows.cyclotomic import CycNum, binary_power, root_of_unity
 from superflows.errors import CapExceededError
 from superflows.matgroup import (
     Mat2,
@@ -113,6 +113,17 @@ def test_matrix_inverse_and_power():
     assert a ** 0 == Mat2.identity(a.conductor)
     assert a ** -2 == (a * a).inverse()
     assert a ** 14 == Mat2.identity(a.conductor)
+
+
+def test_binary_power_is_repeated_products_for_matrices():
+    for m in (alpha_matrix(7), tau(), Mat2.diagonal(2, 3)):
+        ident = Mat2.identity(m.conductor)
+        for e in range(-6, 13):  # e = 0 gives the identity at the conductor
+            want, factor = ident, m if e >= 0 else m.inverse()
+            for _ in range(abs(e)):
+                want = want * factor
+            assert binary_power(m, e, ident).key() == want.key()
+            assert (m ** e).key() == want.key()
 
 
 def test_tau_conjugation_reduces_even_to_odd():

@@ -16,6 +16,7 @@ from superflows.engine import find_superflow
 from superflows.matgroup import (
     Mat2,
     MonomialGroup,
+    _discrete_log,
     alpha_group,
     alpha_matrix,
     generate_group,
@@ -96,6 +97,13 @@ def test_root_is_written_at_the_conductor():
             root = group.root(k)
             assert root.order == conductor
             assert root == root_of_unity(group.n, k)
+
+
+@pytest.mark.parametrize("m", range(3, 41))
+def test_discrete_log_reads_back_the_recorded_exponents(m):
+    for g in alpha_group(m).elements:
+        n, s, t = g._exponents
+        assert (_discrete_log(g.a, n), _discrete_log(g.d, n)) == (s, t)
 
 
 def test_from_matrices_rejects_other_generators():

@@ -18,6 +18,7 @@ from superflows.symmetry import (
     check_flow_symmetry,
     delta_tilde,
     diagonal_symmetry_solve,
+    draw_samples,
     family_finite_order,
     flow_symmetry_family,
     gamma_4k1,
@@ -46,6 +47,15 @@ def test_gamma_c_fixes_radical_x_field():
         assert ok, resid
 
 
+def test_numeric_field_symmetry_refuses_no_samples():
+    field = monomial_field(0, 0, 2, 0)
+    for samples in ([], iter(())):
+        with pytest.raises(ValueError, match="needs sample points"):
+            check_field_symmetry(((5, 0), (0, 1)), field, samples)
+    # an exact conjugate that differs fails with no samples, as with None
+    assert check_field_symmetry(Mat2.diagonal(5, 1), field, []) == (False, float("inf"))
+
+
 def test_diag_2_3_fails_exponent_relation():
     rng = random.Random(32)
     ok, resid = check_field_symmetry(
@@ -68,7 +78,7 @@ def test_flow_symmetries_all_families():
         if flow.family == "level0":
             continue
         fam = flow_symmetry_family(flow)
-        samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(20)]
+        samples = draw_samples(flow, rng)
         for _ in range(20):
             member = fam.matrix_numeric(fam.sample_params(rng))
             ok, resid = check_flow_symmetry(member, flow, samples)
@@ -93,7 +103,7 @@ def test_field_symmetries_all_families():
 def test_shear_is_not_a_radical_symmetry():
     rng = random.Random(34)
     flow = ClosedFormFlow("radical_x", 1)
-    samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(20)]
+    samples = draw_samples(flow, rng)
     ok, resid = check_flow_symmetry(((1, 1), (0, 1)), flow, samples)
     assert not ok and resid > 1e-8
 
@@ -101,7 +111,7 @@ def test_shear_is_not_a_radical_symmetry():
 def test_random_matrices_fail_flow_symmetry():
     rng = random.Random(35)
     flow = ClosedFormFlow("parabolic")
-    samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(20)]
+    samples = draw_samples(flow, rng)
     for _ in range(20):
         entries = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)) for _ in range(4)]
         if abs(entries[0] * entries[3] - entries[1] * entries[2]) < 0.1:
@@ -222,7 +232,7 @@ def test_gamma_sph_random_draw_fixes_sph_flow():
     rng = random.Random(38)
     flow = ClosedFormFlow("sph_inf")
     fam = gamma_sph()
-    samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(20)]
+    samples = draw_samples(flow, rng)
     for _ in range(20):
         ok, resid = check_flow_symmetry(fam.matrix_numeric(fam.sample_params(rng)), flow, samples)
         assert ok, resid
@@ -237,7 +247,7 @@ def _family_flows():
 @pytest.mark.parametrize("flow", _family_flows(), ids=lambda f: f.label)
 def test_family_draws_equal_their_members_checked_one_by_one(flow):
     rng = random.Random(61)
-    samples = [(flow.sample_point(rng), flow.sample_time(rng)) for _ in range(20)]
+    samples = draw_samples(flow, rng)
     record = check_family_draws(flow, samples, random.Random(62), 12)
     twin = random.Random(62)
     fam = flow_symmetry_family(flow)
@@ -263,6 +273,16 @@ def test_family_draws_evaluate_the_value_side_once(flow):
     object.__setattr__(flow, "time_map", counting)
     check_family_draws(flow, samples, rng, 5)
     assert len(calls) == len(samples) * (5 + 1)
+
+
+def test_flow_symmetry_refuses_no_samples():
+    with pytest.raises(ValueError, match="needs sample points"):
+        check_flow_symmetry(((5, 0), (0, 1)), ClosedFormFlow("parabolic"), [])
+
+
+def test_family_draws_refuse_no_samples():
+    with pytest.raises(ValueError, match="needs sample points"):
+        check_family_draws(ClosedFormFlow("parabolic"), [], random.Random(65), 3)
 
 
 def test_a_member_whose_image_crosses_a_branch_raises(monkeypatch):
