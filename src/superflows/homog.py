@@ -209,35 +209,22 @@ class RatVF:
         """Exact L^(-1) o V o L.
 
         A diagonal or antidiagonal L, whatever the denominator, takes the
-        monomial branch.  diag(s, t) multiplies the term (c, a) by
-        e[k] = s^k t^(1-k), k = a - 1 + c; antidiag(s, t) applies the same
-        factor and sends the term to (1 - c, 2 - a), which reverses the term
-        order.  L keeps its factors, keyed by k, in its `_factors` slot, so
-        every later field reuses them.  An element of a MonomialGroup reads
-        each factor off its exponents as one root of unity; any other
-        diagonal or antidiagonal L builds them by products from t.  Any other invertible L needs a
-        trivial denominator and takes the generic branch, which substitutes
-        L into the at most six terms; with a nontrivial denominator the
-        image denominator would not be a monomial, and
+        monomial branch: `_monomial_action` gives each term's factor e[k],
+        k = a - 1 + c, and antidiag(s, t) also sends the term (c, a) to
+        (1 - c, 2 - a), which reverses the term order.  Any other invertible
+        L needs a trivial denominator and takes the generic branch, which
+        substitutes L into the at most six terms; with a nontrivial
+        denominator the image denominator would not be a monomial, and
         NonMonomialDenominatorError is raised.
         """
-        diagonal = L.is_diagonal()
-        if diagonal or L.is_antidiagonal():
-            s, t = (L.a, L.d) if diagonal else (L.b, L.c)
-            if s.is_zero() or t.is_zero():
-                raise ZeroDivisionError("conjugating matrix is singular")
+        ks = [a - 1 + component for component, a, _ in self.terms]
+        action = _monomial_action(L, min(ks, default=0), max(ks, default=0))
+        if action is not None:
+            swaps, e = action
             if self.is_zero:
                 return self
-            # x -> s x, y -> t y takes c x^a y^(2-a) in the first component
-            # to c s^(a-1) t^(2-a) x^a y^(2-a), and in the second to
-            # c s^a t^(1-a) x^a y^(2-a).  antidiag(s, t) takes x -> s y and
-            # y -> t x and swaps the components, with the same factors.
-            ks = [a - 1 + component for component, a, _ in self.terms]
-            e = _monomial_factors(L, s, t, min(ks), max(ks))
             terms = [(component, a, c * e[k]) for (component, a, c), k in zip(self.terms, ks)]
-            if diagonal:
-                return RatVF.from_terms(terms)
-            return RatVF.from_terms((1 - component, 2 - a, c) for component, a, c in reversed(terms))
+            return RatVF.from_terms(_swapped(terms) if swaps else terms)
         det = L.det()
         if det.is_zero():
             raise ZeroDivisionError("conjugating matrix is singular")
@@ -405,6 +392,35 @@ def _field_evaluator(terms, lx: int, ly: int):
     return evaluate
 
 
+def _monomial_action(L: Mat2, lo: int, hi: int):
+    """How L acts on Laurent monomials: (swaps, e) for a diagonal or antidiagonal L, else None.
+
+    x -> s x, y -> t y (diag(s, t)) takes c x^a y^(2-a) in the first
+    component to c s^(a-1) t^(2-a) x^a y^(2-a), and in the second to
+    c s^a t^(1-a) x^a y^(2-a): the term (component, a) is multiplied by
+    e[k] = s^k t^(1-k), k = a - 1 + component.  antidiag(s, t) takes
+    x -> s y and y -> t x with the same factors, and `swaps` is True: it
+    sends the term to (1 - component, 2 - a).  e is kept on L and covers
+    lo <= k <= hi (see `_monomial_factors`).  A singular diagonal or
+    antidiagonal L raises ZeroDivisionError.
+    """
+    diagonal = L.is_diagonal()
+    if not (diagonal or L.is_antidiagonal()):
+        return None
+    s, t = (L.a, L.d) if diagonal else (L.b, L.c)
+    if s.is_zero() or t.is_zero():
+        raise ZeroDivisionError("conjugating matrix is singular")
+    return not diagonal, _monomial_factors(L, s, t, lo, hi)
+
+
+def _swapped(terms) -> list:
+    """Ascending terms moved as an antidiagonal matrix moves them, ascending again.
+
+    The term (component, a) goes to (1 - component, 2 - a).
+    """
+    return [(1 - component, 2 - a, c) for component, a, c in reversed(terms)]
+
+
 def _monomial_factors(L: Mat2, s: CycNum, t: CycNum, lo: int, hi: int) -> dict:
     """L's factors e[k] = s^k t^(1-k), kept on L and extended to cover lo <= k <= hi.
 
@@ -448,8 +464,37 @@ def monomial_field(component: int, i: int, lx: int, ly: int, coeff=1) -> RatVF:
 def reynolds_average(group, field: RatVF) -> RatVF:
     """The exact group average (1/|G|) sum of g^(-1) o V o g over g in G.
 
+    By linearity each term c x^a y^(2-a) averages on its own.  A diagonal
+    or antidiagonal g multiplies the term by its factor e_g[k] and keeps or
+    swaps its slot (see `_monomial_action`), so per term and image slot the
+    factors of those elements are added in one CycNum.sum and the term's
+    coefficient takes one product with a nonzero total.  Any other element
+    conjugates the whole field.  The pieces are added in one RatVF.sum.
+    This shares none of the congruences that decide the verdict.
+
     The result is invariant under conjugation by every group element and the
     operator is idempotent.  A vanishing average comes back as the explicit
     zero field.
     """
-    return RatVF.sum(field.conjugate(g) for g in group).scale(Fraction(1, len(group)))
+    ks = [a - 1 + component for component, a, _ in field.terms]
+    lo, hi = min(ks, default=0), max(ks, default=0)
+    tables = ([], [])  # the factors e of the diagonal, then of the antidiagonal elements
+    pieces = []
+    for g in group:
+        action = _monomial_action(g, lo, hi)
+        if action is None:
+            pieces.append(field.conjugate(g))
+        else:
+            swaps, e = action
+            tables[swaps].append(e)
+    for swaps, factors in enumerate(tables):
+        terms = []
+        for (component, a, c), k in zip(field.terms, ks):
+            # a list, not a generator: tuple() of a generator is built by
+            # resizing, not from the tuple free list, yet freed onto it, so
+            # that list would grow to its cap and raise the peak RSS
+            total = CycNum.sum([e[k] for e in factors])
+            if not total.is_zero():
+                terms.append((component, a, c * total))
+        pieces.append(RatVF.from_terms(_swapped(terms) if swaps else terms))
+    return RatVF.sum(pieces).scale(Fraction(1, len(group)))

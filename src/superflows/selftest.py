@@ -34,7 +34,7 @@ class CriterionResult:
 
 
 def _result(name, start, passed, detail) -> CriterionResult:
-    return CriterionResult(name, passed, detail, time.time() - start)
+    return CriterionResult(name, passed, detail, time.perf_counter() - start)
 
 
 def _failures(records) -> list[str]:
@@ -43,7 +43,7 @@ def _failures(records) -> list[str]:
 
 def criterion_classification() -> CriterionResult:
     """classify over m = 3..20: superflow exactly off multiples of 4, exact fields."""
-    start = time.time()
+    start = time.perf_counter()
     rows = engine.classify_alpha(3, 20)
     problems = []
     for row in rows:
@@ -61,7 +61,7 @@ def criterion_classification() -> CriterionResult:
             want = monomial_field(1, 2 * k + 1, 0, 2 * k - 1)
             if row.field != want or row.denom_degree != 2 * k - 1:
                 problems.append(f"m={row.m}: field {row.field}")
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     if elapsed >= 30.0:
         problems.append(f"runtime {elapsed:.1f}s exceeds 30s")
     detail = "; ".join(problems) if problems else (
@@ -82,7 +82,7 @@ def criterion_character_sums() -> CriterionResult:
     while the averages run over its closure by Mat2 products, so the oracle
     shares no group code with the classes.
     """
-    start = time.time()
+    start = time.perf_counter()
     z3 = root_of_unity(3)
     cases = [(f"alpha({m})", alpha_group(m), [alpha_matrix(m)]) for m in range(3, 14)]
     two = [Mat2.diagonal(z3, z3 ** 2), Mat2.diagonal(root_of_unity(4), 1)]
@@ -108,13 +108,20 @@ def criterion_character_sums() -> CriterionResult:
 
 
 def criterion_reynolds() -> CriterionResult:
-    """Averaging is idempotent and its output exactly invariant, 50 fields per group."""
-    start = time.time()
+    """Averaging is idempotent and its output exactly invariant, 50 fields per group.
+
+    The first 10 fields of each group are also compared with the
+    definitional sum of their conjugates over |G|, and each group must give
+    a nonzero average, so that a map to the zero field cannot pass.
+    """
+    start = time.perf_counter()
     rng = random.Random(SEED)
     failures = []
+    compared = nonzero = 0
     for m in (3, 5, 7):
         group = alpha_group(m)
         zeta = root_of_unity(m)
+        group_nonzero = 0
         for trial in range(50):
             lx, ly = rng.randint(0, 2), rng.randint(0, 2)
             deg = lx + ly + 2
@@ -131,24 +138,36 @@ def criterion_reynolds() -> CriterionResult:
                 ly,
             )
             avg = reynolds_average(group, field)
+            group_nonzero += not avg.is_zero
+            if trial < 10:
+                compared += 1
+                definition = RatVF.sum(field.conjugate(g) for g in group)
+                if avg != definition.scale(Fraction(1, len(group))):
+                    failures.append((m, trial, "definition"))
             if reynolds_average(group, avg) != avg:
                 failures.append((m, trial, "idempotence"))
             if not all(avg.conjugate(g) == avg for g in group):
                 failures.append((m, trial, "invariance"))
-    detail = "150 fields pass" if not failures else f"failures: {failures[:5]}"
+        if not group_nonzero:
+            failures.append((m, "every average is zero"))
+        nonzero += group_nonzero
+    detail = (
+        f"150 fields pass, {compared} equal the definitional sum, {nonzero} averages nonzero"
+        if not failures else f"failures: {failures[:5]}"
+    )
     return _result("reynolds_properties", start, not failures, detail)
 
 
 def criterion_flow_identities() -> CriterionResult:
     """Translation identity, PDE, and field extraction for every cataloged flow."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(SEED)
     records = []
     for flow in flows.catalog():
         records.append(flows.check_translation(flow, rng, 200))
         records += flows.check_pde(flow, rng, 200)
     problems = _failures(records)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     if elapsed >= 10.0:
         problems.append(f"runtime {elapsed:.1f}s exceeds 10s")
     detail = "; ".join(problems) if problems else (
@@ -159,7 +178,7 @@ def criterion_flow_identities() -> CriterionResult:
 
 def criterion_orbits() -> CriterionResult:
     """Orbit functions stay constant along RK4 trajectories; orbit ODE residuals."""
-    start = time.time()
+    start = time.perf_counter()
     problems = _failures(flows.check_orbits(random.Random(SEED), 100, 1500))
     detail = "; ".join(problems) if problems else "3 orbit examples conserved"
     return _result("orbit_checks", start, not problems, detail)
@@ -167,7 +186,7 @@ def criterion_orbits() -> CriterionResult:
 
 def criterion_symmetry_families() -> CriterionResult:
     """Family draws pass, off-family draws fail, finite-order laws exact."""
-    start = time.time()
+    start = time.perf_counter()
     rng = random.Random(SEED)
     problems = []
     paired = [
@@ -218,7 +237,7 @@ def criterion_symmetry_families() -> CriterionResult:
 
 def criterion_impossibility() -> CriterionResult:
     """m in {4, 8, 12}: verdict none via shortcut and via empty survivor classes, agreeing."""
-    start = time.time()
+    start = time.perf_counter()
     problems = []
     for m in (4, 8, 12):
         group = alpha_group(m)
@@ -234,7 +253,7 @@ def criterion_impossibility() -> CriterionResult:
 
 def criterion_tau_reduction() -> CriterionResult:
     """m = 2 mod 4 superflow equals the tau-conjugate of the odd-case superflow."""
-    start = time.time()
+    start = time.perf_counter()
     problems = []
     swap = tau()
     for m in (6, 10, 14):

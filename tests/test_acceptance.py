@@ -8,6 +8,8 @@ pass/fail line per criterion.
 import pytest
 
 from superflows import selftest
+from superflows.homog import RatVF
+from superflows.matgroup import alpha_group
 
 NAMES = [name for name, _ in selftest.CRITERIA]
 
@@ -17,3 +19,22 @@ def test_acceptance_criterion(name):
     result = selftest.run_criterion(name)
     print(f"{'PASS' if result.passed else 'FAIL'}  {name}  ({result.elapsed:.2f}s)  {result.detail}")
     assert result.passed, f"{name}: {result.detail}"
+
+
+def test_reynolds_properties_fails_on_a_zero_map(monkeypatch):
+    # the zero field is idempotent and invariant, so only the comparison with
+    # the definitional sum and the nonzero count catch a map to zero
+    monkeypatch.setattr(selftest, "reynolds_average", lambda group, field: RatVF.zero())
+    result = selftest.criterion_reynolds()
+    assert not result.passed
+    assert "definition" in result.detail
+
+
+def test_reynolds_properties_fails_when_every_average_is_zero(monkeypatch):
+    # alpha(4m) holds -I, so every average is zero and rightly so: the
+    # definitional sum, idempotence and invariance hold, and only the
+    # nonzero count fails
+    monkeypatch.setattr(selftest, "alpha_group", lambda m: alpha_group(4 * m))
+    result = selftest.criterion_reynolds()
+    assert not result.passed
+    assert "every average is zero" in result.detail and "definition" not in result.detail

@@ -466,6 +466,93 @@ def test_reynolds_average_is_one_accumulation(monkeypatch):
     assert calls["lift"] == 0
 
 
+def _definitional_average(group, field: RatVF) -> RatVF:
+    """The Reynolds average as defined: the sum of every conjugate, over |G|."""
+    return RatVF.sum(field.conjugate(g) for g in group).scale(Fraction(1, len(group)))
+
+
+def _binary_tetrahedral():
+    i = root_of_unity(4)
+    half = CycNum.rational(Fraction(1, 2))
+    return generate_group([
+        Mat2(i, 0, 0, -i),
+        Mat2((1 + i) * half, (1 + i) * half, (-1 + i) * half, (1 - i) * half),
+    ])
+
+
+def _order_six():
+    # [[0, -1], [1, -1]] has order 3 and is neither diagonal nor antidiagonal
+    return generate_group([Mat2(0, -1, 1, -1), Mat2(0, 1, 1, 0)])
+
+
+def test_reynolds_average_is_the_definitional_sum_over_monomial_groups():
+    rng = random.Random(73)
+    for m in range(3, 16):
+        groups = [
+            alpha_group(m),
+            generate_group([alpha_matrix(m)]),
+            generate_group([alpha_matrix(m), tau()]),
+        ]
+        for group in groups:
+            for _ in range(2):
+                lx, ly = rng.randint(0, 3), rng.randint(0, 3)
+                for field in (_dense_polynomial_field(rng, m, lx, ly), _sparse_field(rng, lx, ly)):
+                    assert _keys(reynolds_average(group, field)) == _keys(_definitional_average(group, field))
+
+
+def test_reynolds_average_is_the_definitional_sum_over_non_monomial_groups():
+    rng = random.Random(79)
+    for group, vanishes in ((_binary_tetrahedral(), True), (_order_six(), False)):
+        for _ in range(6):
+            field = _dense_polynomial_field(rng, 3)
+            avg = reynolds_average(group, field)
+            assert _keys(avg) == _keys(_definitional_average(group, field))
+            assert avg.is_zero == vanishes
+
+
+def test_reynolds_average_takes_a_bounded_number_of_products(monkeypatch):
+    # each term takes one product per image slot with a nonzero factor sum,
+    # and one more in the final scale: at most 4T, whatever |G| is
+    calls = [0]
+    mul = CycNum.__mul__
+
+    def counting_mul(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    rng = random.Random(83)
+    nonzero = 0
+    # (2, 0) and (0, 5) are the superflow denominators of m = 7 and 13
+    for m in (7, 13):
+        for lx, ly in ((0, 0), (2, 0), (1, 3), (0, 5)):
+            field = _dense_polynomial_field(rng, m, lx, ly)
+            group = alpha_group(m)
+            calls[0] = 0
+            monkeypatch.setattr(CycNum, "__mul__", counting_mul)
+            monkeypatch.setattr(CycNum, "__rmul__", counting_mul)
+            avg = reynolds_average(group, field)
+            monkeypatch.undo()
+            assert calls[0] <= 4 * len(field.terms)
+            nonzero += not avg.is_zero
+    assert nonzero >= 2
+
+
+def test_reynolds_average_of_the_zero_field_is_zero():
+    groups = [alpha_group(7), generate_group([alpha_matrix(5), tau()]), _binary_tetrahedral(), _order_six()]
+    for group in groups:
+        assert reynolds_average(group, RatVF.zero()) == RatVF.zero()
+
+
+def test_reynolds_average_refuses_what_conjugation_refuses():
+    laurent = monomial_field(0, 0, 2, 0)
+    with pytest.raises(NonMonomialDenominatorError):
+        reynolds_average(_order_six(), laurent)
+    for singular in (Mat2.diagonal(1, 0), Mat2(0, 0, 2, 0)):
+        for field in (laurent, RatVF.zero()):
+            with pytest.raises(ZeroDivisionError):
+                reynolds_average([Mat2.identity(), singular], field)
+
+
 def test_conjugate_non_monomial_image_rejected():
     v = monomial_field(0, 0, 2, 0)
     with pytest.raises(NonMonomialDenominatorError):
