@@ -317,7 +317,7 @@ class CycNum:
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum._raw(self.order, tuple(-x for x in self._num), self._den)
+        return CycNum._raw(self.order, tuple([-x for x in self._num]), self._den)
 
     def __sub__(self, other):
         other = CycNum._coerce(other)

@@ -21,7 +21,10 @@ origin and the continued argument is the principal argument of the endpoint
 ratio; the evaluation refuses (BranchError) when the segment meets zero.
 
 Each flow binds its time map phi(x, y, t) on complex scalars once, and the
-checks call it directly, as they call a field's evaluator.
+checks call it directly, as they call a field's evaluator.  The checks draw
+each sample from the seeded generator, and take each RK4 point, as the
+residual loop reads it, so their memory does not grow with the sample or
+step count; the draws come in the same order as when all n were drawn first.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from .errors import BranchError, SingularityApproachError, SingularPointError
@@ -328,14 +332,8 @@ def verify_pde(flow: ClosedFormFlow, field: RatVF, samples: Iterable) -> Verific
     return VerificationRecord(flow.label, "pde", *residual_sup(residuals()))
 
 
-def integrate_trajectory(
-    field: RatVF, start, t_end: float, steps: int
-) -> list[tuple[complex, complex]]:
-    """Classical fixed-step RK4 along the field, aborting near singularities.
-
-    Raises SingularityApproachError as soon as a stage point comes within
-    SINGULAR_DISTANCE of the vanishing locus of the denominator.
-    """
+def _rk4_points(field: RatVF, start, t_end: float, steps: int):
+    """The points of integrate_trajectory, yielded as each step ends."""
     if steps < 1:
         raise ValueError("steps must be positive")
     h = t_end / steps
@@ -347,7 +345,7 @@ def integrate_trajectory(
         return evaluate(x, y)
 
     x, y = complex(start[0]), complex(start[1])
-    path = [(x, y)]
+    yield x, y
     for step in range(steps):
         k1x, k1y = guarded(x, y, step)
         k2x, k2y = guarded(x + 0.5 * h * k1x, y + 0.5 * h * k1y, step)
@@ -355,8 +353,18 @@ def integrate_trajectory(
         k4x, k4y = guarded(x + h * k3x, y + h * k3y, step)
         x = x + h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6
         y = y + h * (k1y + 2 * k2y + 2 * k3y + k4y) / 6
-        path.append((x, y))
-    return path
+        yield x, y
+
+
+def integrate_trajectory(
+    field: RatVF, start, t_end: float, steps: int
+) -> list[tuple[complex, complex]]:
+    """Classical fixed-step RK4 along the field, aborting near singularities.
+
+    Raises SingularityApproachError as soon as a stage point comes within
+    SINGULAR_DISTANCE of the vanishing locus of the denominator.
+    """
+    return list(_rk4_points(field, start, t_end, steps))
 
 
 @dataclass(frozen=True)
@@ -390,13 +398,17 @@ def nonalgebraic_field() -> RatVF:
     return RatVF(HomPoly(2, [1, 1, 1]), HomPoly(2, [1, 1, 0]))
 
 
-def orbit_residual(orbit: OrbitFunction, path) -> float:
-    """Max relative drift of the orbit function along a trajectory."""
-    ref = orbit.evaluate(path[0])
+def orbit_residual(orbit: OrbitFunction, path: Iterable) -> float:
+    """Max relative drift of the orbit function along a trajectory, read point by point."""
+    points = iter(path)
+    start = next(points, None)
+    if start is None:
+        raise ValueError("empty trajectory")
+    ref = orbit.evaluate(start)
     if ref == 0:
         raise SingularPointError("orbit function vanishes at the start point")
-    drift = residual_sup(((abs(orbit.evaluate(p) - ref),), None) for p in path)[1]
-    return drift / abs(ref)
+    pairs = (((abs(orbit.evaluate(p) - ref),), None) for p in chain((start,), points))
+    return residual_sup(pairs)[1] / abs(ref)
 
 
 def verify_orbit_ode(orbit: OrbitFunction, field: RatVF, samples: Iterable) -> VerificationRecord:
@@ -420,10 +432,10 @@ def verify_orbit_ode(orbit: OrbitFunction, field: RatVF, samples: Iterable) -> V
 
 def check_translation(flow: ClosedFormFlow, rng, n: int) -> VerificationRecord:
     """Translation identity at n drawn (p, t, s); the rational flows must hold to 1e-10."""
-    triples = [
+    triples = (
         (flow.sample_point(rng), flow.sample_time(rng), flow.sample_time(rng))
         for _ in range(n)
-    ]
+    )
     tol = 1e-10 if flow.family in ("parabolic", "level0") else 1e-9
     return replace(verify_translation(flow, triples), tol=tol)
 
@@ -435,11 +447,12 @@ def check_pde(flow: ClosedFormFlow, rng, n: int) -> list[VerificationRecord]:
     checks nothing, so the extraction record does not count it.
     """
     field = flow.vector_field()
-    pde = verify_pde(flow, field, [flow.sample_point(rng) for _ in range(n)])
+    pde = verify_pde(flow, field, (flow.sample_point(rng) for _ in range(n)))
     evaluate = field.evaluator()
 
     def residuals():
-        for p in [flow.sample_point(rng) for _ in range(n)]:
+        for _ in range(n):
+            p = flow.sample_point(rng)
             fd = extract_vector_field(flow, p)
             ex, ey = evaluate(complex(p[0]), complex(p[1]))
             if not (fd[0] or fd[1] or ex or ey):
@@ -464,10 +477,10 @@ def check_orbits(rng, n: int, steps: int) -> list[VerificationRecord]:
     records = []
     for kind, field, t_end, drift_tol in cases:
         orbit = OrbitFunction(kind)
-        drift = orbit_residual(orbit, integrate_trajectory(field, (1.0, 1.0), t_end, steps))
+        drift = orbit_residual(orbit, _rk4_points(field, (1.0, 1.0), t_end, steps))
         records.append(
             VerificationRecord(kind, "orbit_conservation", steps, drift, None, drift_tol)
         )
-        points = [(rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)) for _ in range(n)]
+        points = ((rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)) for _ in range(n))
         records.append(replace(verify_orbit_ode(orbit, field, points), tol=1e-6))
     return records

@@ -38,7 +38,7 @@ class HomPoly:
     __slots__ = ("degree", "coeffs")
 
     def __init__(self, degree: int, coeffs):
-        coeffs = tuple(c if c.__class__ is CycNum else as_cycnum(c) for c in coeffs)
+        coeffs = tuple([c if c.__class__ is CycNum else as_cycnum(c) for c in coeffs])
         if degree < 0 or len(coeffs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
         self.degree = degree
@@ -141,7 +141,7 @@ class RatVF:
         f = as_cycnum(factor)
         if f.is_zero():
             return RatVF.zero()
-        return RatVF.from_terms((component, a, c * f) for component, a, c in self.terms)
+        return RatVF.from_terms([(component, a, c * f) for component, a, c in self.terms])
 
     @staticmethod
     def sum(fields) -> "RatVF":

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -441,6 +442,42 @@ def test_orbit_constant_along_trajectories():
 
     path = integrate_trajectory(nonalgebraic_field(), (1, 1), 0.3, 1200)
     assert orbit_residual(OrbitFunction("nonalgebraic_example"), path) <= 1e-6
+
+
+def test_orbit_residual_reads_a_stream_as_it_reads_the_list():
+    field, orbit = nonalgebraic_field(), OrbitFunction("nonalgebraic_example")
+    path = integrate_trajectory(field, (1, 1), 0.3, 200)
+    assert orbit_residual(orbit, iter(path)) == orbit_residual(orbit, path)
+
+
+def test_orbit_residual_rejects_an_empty_path():
+    for path in ([], iter(())):
+        with pytest.raises(ValueError, match="empty trajectory"):
+            orbit_residual(OrbitFunction("coordinate_y"), path)
+
+
+def test_check_orbits_rejects_zero_steps():
+    with pytest.raises(ValueError, match="steps must be positive"):
+        check_orbits(random.Random(1), 5, 0)
+
+
+@pytest.mark.parametrize("check", [
+    lambda rng: check_translation(ClosedFormFlow("parabolic"), rng, 5000),
+    lambda rng: check_pde(ClosedFormFlow("parabolic"), rng, 5000),
+    lambda rng: check_orbits(rng, 1, 2000),
+    lambda rng: check_orbits(rng, 5000, 1),
+], ids=["translation", "pde", "orbit_path", "orbit_ode_points"])
+def test_checks_hold_no_sample_list(check):
+    # a list of the draws or of the RK4 path would take about 150 KiB to 1.1 MB at these sizes
+    rng = random.Random(5)
+    check(rng)  # warm any lazy set-up outside the traced run
+    tracemalloc.start()
+    try:
+        check(rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_orbit_function_homogeneity():
