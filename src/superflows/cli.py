@@ -24,7 +24,7 @@ from .matgroup import alpha_group
 
 def _int_at_least(lo: int):
     """argparse type: an integer no smaller than lo."""
-    def parse(text: str) -> int:
+    def convert(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
@@ -33,7 +33,7 @@ def _int_at_least(lo: int):
             raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
         return value
 
-    return parse
+    return convert
 
 
 def _tolerance(text: str) -> float:
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     positive = _int_at_least(1)
 
     def common(p):
-        p.add_argument("--samples", type=positive, default=100)
         p.add_argument("--seed", type=int, default=1)
         p.add_argument("--tol", type=_tolerance, default=None,
                        help="tolerance for every check, replacing each one's own")
@@ -239,17 +238,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-flow", help="translation-equation residual for one flow")
     p.add_argument("--family", choices=flows.FAMILIES, required=True)
     p.add_argument("--k", type=positive, default=None)
+    p.add_argument("--samples", type=positive, default=100)
     common(p)
     p.set_defaults(func=cmd_verify_flow)
 
     p = sub.add_parser("verify-pde", help="flow PDE residual and field extraction")
     p.add_argument("--family", choices=flows.FAMILIES, required=True)
     p.add_argument("--k", type=positive, default=None)
+    p.add_argument("--samples", type=positive, default=100)
     common(p)
     p.set_defaults(func=cmd_verify_pde)
 
     p = sub.add_parser("orbits", help="orbit-function conservation along RK4 paths")
     p.add_argument("--steps", type=positive, default=1500)
+    p.add_argument("--samples", type=positive, default=100)
     common(p)
     p.set_defaults(func=cmd_orbits)
 
@@ -281,7 +283,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except argparse.ArgumentError as exc:
         parser.error(str(exc))
-    except (ValueError, ZeroDivisionError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,8 +41,6 @@ __all__ = [
     "CycNum", "as_cycnum", "root_of_unity", "torsion_root", "cyclotomic_polynomial", "euler_phi",
 ]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 # an embedding this close to modulus one makes an element a root-of-unity candidate
 _UNIT_MODULUS_TOL = 1e-9
 
@@ -225,20 +222,6 @@ class CycNum:
     @staticmethod
     def one(order: int = 1) -> "CycNum":
         return CycNum.rational(1, order)
-
-    @staticmethod
-    def from_powers(order: int, powers: dict) -> "CycNum":
-        """Build sum of c * z^e from an {exponent: coefficient} mapping."""
-        terms = [(e, Fraction(c)) for e, c in powers.items()]
-        den = math.lcm(*(c.denominator for _, c in terms))
-        out = [0] * euler_phi(order)
-        for e, c in terms:
-            if c:
-                scaled = c.numerator * (den // c.denominator)
-                for j, r in enumerate(_reduced_power(order, e % order)):
-                    if r:
-                        out[j] += scaled * r
-        return _canonical(order, out, den)
 
     # -- structure ---------------------------------------------------------
 
@@ -489,7 +472,7 @@ class CycNum:
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
-        """Render as "a0 + a1*z + ...; z = zeta_N"; parse() round-trips exactly."""
+        """Render as "a0 + a1*z + ...; z = zeta_N", the exact output form."""
         parts = []
         for i, c in enumerate(self.coeffs):
             if not c:
@@ -506,40 +489,6 @@ class CycNum:
                 parts.append(("+ " if c > 0 else "- ") + body)
         lhs = " ".join(parts) if parts else "0"
         return f"{lhs}; z = zeta_{self.order}"
-
-    _TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)\*?)?(z(?:\^(\d+))?)?$")
-
-    @staticmethod
-    def parse(text: str) -> "CycNum":
-        head, sep, tail = text.partition(";")
-        m = re.fullmatch(r"\s*z\s*=\s*zeta_(\d+)\s*", tail)
-        if not sep or not m:
-            raise ValueError(f"missing '; z = zeta_N' suffix in {text!r}")
-        n = int(m.group(1))
-        deg = euler_phi(n)
-        coeffs = [_ZERO] * deg
-        s = head.strip()
-        if s != "0":
-            chunks = re.split(r"\s([+-])\s", s)
-            terms = [("+", chunks[0])]
-            terms += [(chunks[i], chunks[i + 1]) for i in range(1, len(chunks), 2)]
-            for sign, term in terms:
-                neg = sign == "-"
-                if term.startswith("-"):
-                    neg = not neg
-                    term = term[1:]
-                tm = CycNum._TERM_RE.fullmatch(term)
-                if not tm or not term:
-                    raise ValueError(f"cannot parse term {term!r}")
-                mag = Fraction(tm.group(1)) if tm.group(1) else _ONE
-                if tm.group(2):
-                    i = int(tm.group(3)) if tm.group(3) else 1
-                else:
-                    i = 0
-                if i >= deg:
-                    raise ValueError(f"exponent {i} is not reduced for order {n}")
-                coeffs[i] += -mag if neg else mag
-        return CycNum(n, coeffs)
 
     def __str__(self):
         return self.to_text()

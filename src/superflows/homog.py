@@ -22,7 +22,6 @@ field's evaluator.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .cyclotomic import CycNum, as_cycnum, torsion_root
@@ -43,32 +42,6 @@ class HomPoly:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients")
         self.degree = degree
         self.coeffs = coeffs
-
-
-_POLY_TERM_RE = re.compile(r"\{([^}]*)\}\*x\^(\d+)\*y\^(\d+)")
-
-
-def _parse_poly(text: str):
-    """Parse one component of the to_text() form; returns (degree, {i: CycNum}), or None for "0"."""
-    text = text.strip()
-    if text == "0":
-        return None
-    # coefficient text may itself contain " + ", so match whole terms and
-    # require them to tile the input
-    matches = list(_POLY_TERM_RE.finditer(text))
-    if " + ".join(m.group(0) for m in matches) != text:
-        raise ValueError(f"cannot parse polynomial {text!r}")
-    terms = {}
-    degree = None
-    for m in matches:
-        coeff = CycNum.parse(m.group(1))
-        i, j = int(m.group(2)), int(m.group(3))
-        if degree is None:
-            degree = i + j
-        elif degree != i + j:
-            raise ValueError("terms are not homogeneous of one degree")
-        terms[i] = terms.get(i, CycNum.zero()) + coeff
-    return degree, terms
 
 
 class RatVF:
@@ -252,7 +225,7 @@ class RatVF:
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
-        """Exact round-trip form "P / x^a*y^b . Q / x^a*y^b" (bullet separator)."""
+        """Exact output form "P / x^a*y^b . Q / x^a*y^b" (bullet separator)."""
         lx, ly = self.lx, self.ly
 
         def comp(component):
@@ -265,41 +238,6 @@ class RatVF:
             return f"{body} / x^{lx}*y^{ly}" if lx or ly else body
 
         return f"{comp(0)} • {comp(1)}"
-
-    @staticmethod
-    def parse(text: str) -> "RatVF":
-        halves = text.split("•")
-        if len(halves) != 2:
-            raise ValueError("expected exactly one bullet separator")
-        parsed = []
-        denoms = set()
-        for half in halves:
-            half = half.strip()
-            num_text, slash, denom_text = half.rpartition(" / ")
-            denom = (0, 0)
-            if slash:
-                m = re.fullmatch(r"x\^(\d+)\*y\^(\d+)", denom_text.strip())
-                if not m:
-                    raise ValueError(f"cannot parse denominator {denom_text!r}")
-                denom = (int(m.group(1)), int(m.group(2)))
-                half = num_text.strip()
-            poly = _parse_poly(half)
-            # a nonzero half with no denominator is over 1
-            if slash or poly is not None:
-                denoms.add(denom)
-            parsed.append(poly)
-        if len(denoms) > 1:
-            raise ValueError("components must share one denominator")
-        lx, ly = denoms.pop() if denoms else (0, 0)
-        terms = []
-        for component, poly in enumerate(parsed):
-            if poly is None:
-                continue
-            degree, coeffs = poly
-            if degree != lx + ly + 2:
-                raise ValueError("numerator degree does not match the denominator")
-            terms += [(component, i - lx, c) for i, c in sorted(coeffs.items()) if not c.is_zero()]
-        return RatVF.from_terms(terms)
 
     def pretty(self) -> str:
         """Human-oriented rendering such as "y^4/x^2 . 0" or "x^2+xy+y^2 . xy+y^2"."""

@@ -87,9 +87,6 @@ class Mat2:
     def det(self) -> CycNum:
         return self.a * self.d - self.b * self.c
 
-    def trace(self) -> CycNum:
-        return self.a + self.d
-
     def is_diagonal(self) -> bool:
         return self.b.is_zero() and self.c.is_zero()
 
@@ -184,11 +181,6 @@ class FiniteMatrixGroup:
 
     def has_minus_identity(self) -> bool:
         return Mat2(-1, 0, 0, -1) in self
-
-    def conjugated_by(self, L: Mat2) -> "FiniteMatrixGroup":
-        """The group L^(-1) G L, regenerated from conjugated generators."""
-        linv = L.inverse()
-        return generate_group([linv * g * L for g in self.generators])
 
     def __repr__(self):
         return f"{type(self).__name__}(order={self.order}, conductor={self.conductor})"

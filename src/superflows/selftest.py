@@ -283,12 +283,5 @@ CRITERIA = [
 ]
 
 
-def run_criterion(name: str) -> CriterionResult:
-    for key, fn in CRITERIA:
-        if key == name:
-            return fn()
-    raise KeyError(f"unknown criterion {name!r}")
-
-
 def run_all() -> list[CriterionResult]:
     return [fn() for _, fn in CRITERIA]

@@ -4,7 +4,9 @@ This is the straightforward layout that `superflows.cyclotomic.CycNum`
 replaced with integer numerators over one shared denominator.  It shares
 only integer helpers (phi, Phi_N, the reduced powers of z and the divisor
 list) with the package, and serves as the differential oracle of the
-cyclotomic tests.
+cyclotomic tests.  `from_powers` builds a CycNum from a sum of powers of z
+by the same Fraction reduction, the reference the constructors are checked
+against.
 """
 
 from __future__ import annotations
@@ -13,10 +15,19 @@ import cmath
 import math
 from fractions import Fraction
 
-from superflows.cyclotomic import _divisors, _reduced_power, cyclotomic_polynomial, euler_phi
+from superflows.cyclotomic import CycNum, _divisors, _reduced_power, cyclotomic_polynomial, euler_phi
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def from_powers(order: int, powers: dict) -> CycNum:
+    """The CycNum sum of c * z^e over an {exponent: coefficient} mapping."""
+    out = [_ZERO] * euler_phi(order)
+    for e, c in powers.items():
+        for j, r in enumerate(_reduced_power(order, e % order)):
+            out[j] += Fraction(c) * r
+    return CycNum(order, out)
 
 
 def _poly_trim(p):

@@ -1,7 +1,13 @@
 """Generator sets of monomial groups shared by the engine and group tests."""
 
 from superflows.cyclotomic import root_of_unity
-from superflows.matgroup import Mat2, tau
+from superflows.matgroup import Mat2, generate_group, tau
+
+
+def conjugated_by(group, L):
+    """The group L^(-1) G L, regenerated from conjugated generators."""
+    linv = L.inverse()
+    return generate_group([linv * g * L for g in group.generators])
 
 
 def diag(*entries):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from fraction_cycnum import from_powers
 
 from superflows.cyclotomic import (
     CycNum,
@@ -32,7 +33,7 @@ def random_cyc(rng, order):
 def test_root_of_unity_is_the_row_from_powers_builds():
     for n in range(1, 65):
         for j in range(-2 * n, 2 * n):
-            got, want = root_of_unity(n, j), CycNum.from_powers(n, {j % n: 1})
+            got, want = root_of_unity(n, j), from_powers(n, {j % n: 1})
             assert (got.order, got._num, got._den) == (want.order, want._num, want._den)
 
 
@@ -229,17 +230,9 @@ def test_canonical_form_idempotent():
     for _ in range(40):
         order = rng.choice(ORDERS)
         powers = {rng.randrange(3 * order): Fraction(rng.randint(-3, 3)) for _ in range(4)}
-        a = CycNum.from_powers(order, powers)
-        b = CycNum.from_powers(order, {i: c for i, c in enumerate(a.coeffs)})
+        a = from_powers(order, powers)
+        b = from_powers(order, {i: c for i, c in enumerate(a.coeffs)})
         assert a == b and a.coeffs == b.coeffs
-
-
-def test_text_round_trip_random():
-    rng = random.Random(31)
-    for _ in range(60):
-        a = random_cyc(rng, rng.choice(ORDERS))
-        assert CycNum.parse(a.to_text()) == a
-    assert CycNum.parse(CycNum.zero(9).to_text()) == CycNum.zero(9)
 
 
 def test_power_negative_exponent():

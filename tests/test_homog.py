@@ -659,32 +659,6 @@ def test_laurent_monomial_is_the_monomial_field_at_every_denominator_split():
                     assert _keys(RatVF.monomial(component, i - lx, coeff)) == _keys(want)
 
 
-def test_parse_reads_a_half_without_a_denominator_over_one():
-    # a nonzero half without a denominator is over 1, so it cannot borrow
-    # the other half's; to_text writes the denominator on every nonzero half
-    text = "{1; z = zeta_1}*x^0*y^3 / x^1*y^0 • {1; z = zeta_1}*x^3*y^0"
-    with pytest.raises(ValueError, match="components must share one denominator"):
-        RatVF.parse(text)
-    v = RatVF.parse(text.replace("*x^3*y^0", "*x^3*y^0 / x^1*y^0"))
-    assert v == monomial_field(0, 0, 1, 0) + monomial_field(1, 3, 1, 0)
-    assert RatVF.parse("{1; z = zeta_1}*x^0*y^3 / x^1*y^0 • 0") == monomial_field(0, 0, 1, 0)
-    assert RatVF.parse("0 • {2; z = zeta_1}*x^1*y^1").to_text() == "0 • {2; z = zeta_1}*x^1*y^1"
-
-
-def test_text_round_trip():
-    rng = random.Random(41)
-    for _ in range(20):
-        lx, ly = rng.randint(0, 2), rng.randint(0, 2)
-        deg = lx + ly + 2
-        coeffs = [
-            root_of_unity(6, rng.randrange(6)) * Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-            for _ in range(deg + 1)
-        ]
-        v = RatVF(HomPoly(deg, coeffs), HomPoly(deg, [0] * (deg + 1)), lx, ly)
-        assert RatVF.parse(v.to_text()) == v
-    assert RatVF.parse(RatVF.zero().to_text()) == RatVF.zero()
-
-
 def test_pretty_forms():
     assert monomial_field(0, 0, 2, 0).pretty() == "y^4/x^2 • 0"
     assert monomial_field(1, 3, 0, 1).pretty() == "0 • x^3/y"

@@ -9,7 +9,7 @@ same generators check the exponent arithmetic, the discrete logs of
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from monomial_groups import monomial_generators
+from monomial_groups import conjugated_by, monomial_generators
 
 from superflows.cyclotomic import CycNum, root_of_unity
 from superflows.engine import find_superflow
@@ -47,7 +47,7 @@ def test_alpha_group_matches_matrix_closure(m):
 
 @pytest.mark.parametrize("m", range(3, 41))
 def test_tau_conjugate_matches_matrix_closure(m):
-    conjugated = alpha_group(m).conjugated_by(tau())
+    conjugated = conjugated_by(alpha_group(m), tau())
     _assert_same_group(MonomialGroup.from_matrices(conjugated.generators), conjugated)
 
 
