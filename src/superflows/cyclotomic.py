@@ -16,24 +16,27 @@ Phi_N.  Two products skip it: a zero factor gives the zero of the common
 order before anything is lifted, and a rational factor scales the other
 factor's numerators, lifting them only when the rational's order does not
 divide theirs.  Both return exactly the full product, order and key
-included.  Values are immutable, so the zero of each order is one shared
-instance, built once.  A root of unity zeta_L^j is inverted by its
-exponent, as zeta_L^(-j); any other element through its norm, the product
-of its Galois conjugates.
+included.  Values are immutable, so the zero of each order, and each root
+of unity of each order and reduced exponent, is one shared instance, built
+once.  A root of unity zeta_L^j is inverted by its exponent, as
+zeta_L^(-j); any other element through its norm, the product of its Galois
+conjugates.
 
 CycNum.sum adds any number of terms in one accumulation: the lcm of their
 orders and of their denominators, integer numerators summed with a lift only
-for nonzero terms of another order, and one cancellation at the end; binary
-+ is its two-term case.  Equality across orders lifts nothing when either
-side is rational, because 1 heads every power basis.  Which root of unity
-an element is, if any, is read once, by torsion_log: the phase of its
-embedding names the exponent, and one exact comparison confirms it.
+for nonzero terms of another order and a scaling only for those of another
+denominator, and one cancellation at the end; binary + is its two-term
+case.  Equality across orders lifts nothing when either side is rational,
+because 1 heads every power basis.  Which root of unity an element is, if
+any, is read once, by torsion_log: the phase of its embedding names the
+exponent, and one exact comparison confirms it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -168,7 +171,8 @@ class CycNum:
     """An element of Q(zeta_N), stored reduced modulo Phi_N.
 
     Values are immutable and may be shared; CycNum.zero(N) returns one
-    instance per order.  The `order` is the label N of the ambient field,
+    instance per order, and root_of_unity and torsion_root one per order
+    and reduced exponent.  The `order` is the label N of the ambient field,
     not the conductor of the element itself (a rational number can carry any
     order).  The rational coordinates are `coeffs`; they are stored as
     integer numerators `_num` over one positive denominator `_den` with
@@ -287,7 +291,10 @@ class CycNum:
             if any(t._num):
                 num = t._num if t.order == n else t.lift(n)._num
                 k = den // t._den
-                out = [x + y * k for x, y in zip(out, num)]
+                if k == 1:
+                    out = list(map(operator.add, out, num))
+                else:
+                    out = [x + y * k for x, y in zip(out, num)]
         return _canonical(n, out, den)
 
     def __add__(self, other):
@@ -531,18 +538,32 @@ def binary_power(base, exponent: int, one):
 
 
 def root_of_unity(order: int, power: int = 1) -> CycNum:
-    """zeta_order**power in canonical reduced form: one row of the power table."""
+    """zeta_order**power in canonical reduced form: one row of the power table.
+
+    Values are immutable, so each order and reduced exponent power % order
+    has one shared instance, built on first use.
+    """
     if order < 1:
         raise ValueError("order must be a positive integer")
-    return CycNum._raw(order, _reduced_power(order, power % order), 1)
+    return _root(order, power % order)
 
 
 def torsion_root(order: int, power: int) -> CycNum:
-    """zeta_L**power, L = lcm(2, order), written at `order`.
+    """zeta_L**power, L = lcm(2, order), written at `order`: one shared instance per power % L.
 
     For odd N, zeta_2N = -zeta_N^((N+1)/2).
     """
     if order % 2 == 0:
         return root_of_unity(order, power)
-    value = root_of_unity(order, power * (order + 1) // 2)
-    return -value if power % 2 else value
+    return _odd_torsion(order, power % (2 * order))
+
+
+@lru_cache(maxsize=None)
+def _root(order: int, e: int) -> CycNum:
+    return CycNum._raw(order, _reduced_power(order, e), 1)
+
+
+@lru_cache(maxsize=None)
+def _odd_torsion(order: int, j: int) -> CycNum:
+    value = root_of_unity(order, j * (order + 1) // 2)
+    return -value if j % 2 else value

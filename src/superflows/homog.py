@@ -97,10 +97,6 @@ class RatVF:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def denom_degree(self) -> int:
-        return self.lx + self.ly
-
     def __eq__(self, other):
         if not isinstance(other, RatVF):
             return NotImplemented
@@ -341,14 +337,25 @@ def _monomial_action(L: Mat2, lo: int, hi: int):
     sends the term to (1 - component, 2 - a).  e is kept on L and covers
     lo <= k <= hi (see `_monomial_factors`).  A singular diagonal or
     antidiagonal L raises ZeroDivisionError.
+
+    The entries are tested once per matrix: the first action found is kept
+    on L as `_swaps`, and a later call reads it and only fills the missing
+    k.  A singular or non-monomial L keeps nothing, so it raises or
+    returns None on every call.
     """
-    diagonal = L.is_diagonal()
-    if not (diagonal or L.is_antidiagonal()):
-        return None
-    s, t = (L.a, L.d) if diagonal else (L.b, L.c)
-    if s.is_zero() or t.is_zero():
-        raise ZeroDivisionError("conjugating matrix is singular")
-    return not diagonal, _monomial_factors(L, s, t, lo, hi)
+    swaps = L._swaps
+    if swaps is None:
+        diagonal = L.is_diagonal()
+        if not (diagonal or L.is_antidiagonal()):
+            return None
+        s, t = (L.a, L.d) if diagonal else (L.b, L.c)
+        if s.is_zero() or t.is_zero():
+            raise ZeroDivisionError("conjugating matrix is singular")
+        swaps = not diagonal
+        object.__setattr__(L, "_swaps", swaps)
+    else:
+        s, t = (L.b, L.c) if swaps else (L.a, L.d)
+    return swaps, _monomial_factors(L, s, t, lo, hi)
 
 
 def _swapped(terms) -> list:
@@ -403,12 +410,15 @@ def reynolds_average(group, field: RatVF) -> RatVF:
     """The exact group average (1/|G|) sum of g^(-1) o V o g over g in G.
 
     By linearity each term c x^a y^(2-a) averages on its own.  A diagonal
-    or antidiagonal g multiplies the term by its factor e_g[k] and keeps or
-    swaps its slot (see `_monomial_action`), so per term and image slot the
-    factors of those elements are added in one CycNum.sum and the term's
-    coefficient takes one product with a nonzero total.  Any other element
+    or antidiagonal g multiplies the term by its factor e_g[k],
+    k = a - 1 + component, and keeps or swaps its slot (see
+    `_monomial_action`), so per k and image slot the factors of those
+    elements are added in one CycNum.sum, which every term with that k
+    shares, and each term's coefficient takes one product with a nonzero
+    total.  A slot no element maps to is skipped.  Any other element
     conjugates the whole field.  The pieces are added in one RatVF.sum.
-    This shares none of the congruences that decide the verdict.
+    Every element is summed over; this shares none of the congruences that
+    decide the verdict.
 
     The result is invariant under conjugation by every group element and the
     operator is idempotent.  A vanishing average comes back as the explicit
@@ -426,13 +436,16 @@ def reynolds_average(group, field: RatVF) -> RatVF:
             swaps, e = action
             tables[swaps].append(e)
     for swaps, factors in enumerate(tables):
-        terms = []
-        for (component, a, c), k in zip(field.terms, ks):
-            # a list, not a generator: tuple() of a generator is built by
-            # resizing, not from the tuple free list, yet freed onto it, so
-            # that list would grow to its cap and raise the peak RSS
-            total = CycNum.sum([e[k] for e in factors])
-            if not total.is_zero():
-                terms.append((component, a, c * total))
+        if not factors:
+            continue
+        # a list, not a generator: tuple() of a generator is built by
+        # resizing, not from the tuple free list, yet freed onto it, so
+        # that list would grow to its cap and raise the peak RSS
+        totals = {k: CycNum.sum([e[k] for e in factors]) for k in set(ks)}
+        terms = [
+            (component, a, c * totals[k])
+            for (component, a, c), k in zip(field.terms, ks)
+            if not totals[k].is_zero()
+        ]
         pieces.append(RatVF.from_terms(_swapped(terms) if swaps else terms))
     return RatVF.sum(pieces).scale(Fraction(1, len(group)))

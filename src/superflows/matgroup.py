@@ -35,16 +35,18 @@ CLOSURE_CAP = 10_000
 class Mat2:
     """An invertible-or-not 2x2 matrix with entries in one cyclotomic field.
 
-    The entries are immutable.  `_factors` is filled lazily by
-    RatVF.conjugate: for a diagonal or antidiagonal matrix, with s and t its
-    nonzero entries, it is keyed by k and holds the conjugation factor
-    s^k t^(1-k), so a group element builds each factor once and frees them
-    with itself.  `_exponents` is None, or the plain ints (n, s, t) of an
-    element that MonomialGroup wrote out, whose nonzero entries are zeta_n^s
-    and zeta_n^t; its factors are then the roots zeta_n^(ks + (1-k)t).
+    The entries are immutable.  `_factors` and `_swaps` are filled lazily
+    by RatVF.conjugate, and only for a nonsingular diagonal or antidiagonal
+    matrix: with s and t its nonzero entries, `_factors` is keyed by k and
+    holds the conjugation factor s^k t^(1-k), so a group element builds each
+    factor once and frees them with itself, and `_swaps` records whether it
+    is antidiagonal, so its entries are tested once.  `_exponents` is None,
+    or the plain ints (n, s, t) of an element that MonomialGroup wrote out,
+    whose nonzero entries are zeta_n^s and zeta_n^t; its factors are then
+    the roots zeta_n^(ks + (1-k)t).
     """
 
-    __slots__ = ("a", "b", "c", "d", "_factors", "_exponents")
+    __slots__ = ("a", "b", "c", "d", "_factors", "_swaps", "_exponents")
 
     def __init__(self, a, b, c, d):
         entries = [v if v.__class__ is CycNum else as_cycnum(v) for v in (a, b, c, d)]
@@ -57,6 +59,7 @@ class Mat2:
         object.__setattr__(self, "c", entries[2])
         object.__setattr__(self, "d", entries[3])
         object.__setattr__(self, "_factors", None)
+        object.__setattr__(self, "_swaps", None)
         object.__setattr__(self, "_exponents", None)
 
     def __setattr__(self, name, value):

@@ -10,6 +10,7 @@ from fraction_cycnum import from_powers
 from superflows.cyclotomic import (
     CycNum,
     _power_map,
+    _reduced_power,
     as_cycnum,
     binary_power,
     cyclotomic_polynomial,
@@ -171,6 +172,20 @@ def test_zero_is_one_shared_instance_per_order():
     assert CycNum.zero(7) is CycNum.zero(7)
     assert CycNum.zero() is not CycNum.zero(7)
     assert CycNum.zero(7).key() == CycNum.rational(0, 7).key()
+
+
+def test_roots_of_unity_are_one_shared_instance_per_reduced_exponent():
+    for n in range(1, 61):
+        bound = math.lcm(2, n)
+        for j in range(-bound, 2 * bound):
+            root, torsion = root_of_unity(n, j), torsion_root(n, j)
+            assert root is root_of_unity(n, j - n)
+            assert torsion is torsion_root(n, j + bound)
+            assert root.key() == CycNum._raw(n, _reduced_power(n, j % n), 1).key()
+            # zeta_2n = -zeta_n^((n+1)/2) for odd n
+            e = j if n % 2 == 0 else j * (n + 1) // 2
+            fresh = CycNum._raw(n, _reduced_power(n, e % n), 1)
+            assert torsion.key() == (-fresh if n % 2 and j % 2 else fresh).key()
 
 
 def test_multiplicative_order_zero_rejected():

@@ -306,18 +306,27 @@ def test_factors_read_off_the_exponents_match_the_walk():
     assert (L * L)._exponents is None and L.lift(20)._exponents is None
 
 
+def _receivers(monkeypatch, name: str) -> list:
+    """The receivers of the CycNum method `name`, recorded while the test runs."""
+    calls = []
+    method = getattr(CycNum, name)
+
+    def counting(self):
+        calls.append(self)
+        return method(self)
+
+    monkeypatch.setattr(CycNum, name, counting)
+    return calls
+
+
 @pytest.fixture
 def inverse_calls(monkeypatch):
-    """The receivers of CycNum.inverse, recorded while the test runs."""
-    calls = []
-    inverse = CycNum.inverse
+    return _receivers(monkeypatch, "inverse")
 
-    def counting_inverse(self):
-        calls.append(self)
-        return inverse(self)
 
-    monkeypatch.setattr(CycNum, "inverse", counting_inverse)
-    return calls
+@pytest.fixture
+def is_zero_calls(monkeypatch):
+    return _receivers(monkeypatch, "is_zero")
 
 
 def test_conjugation_by_a_monomial_group_inverts_nothing(inverse_calls):
@@ -535,6 +544,72 @@ def test_reynolds_average_takes_a_bounded_number_of_products(monkeypatch):
             assert calls[0] <= 4 * len(field.terms)
             nonzero += not avg.is_zero
     assert nonzero >= 2
+
+
+def test_reynolds_average_sums_the_factors_once_per_k(monkeypatch):
+    # a dense degree-4 field at x^2 has 10 terms but only 6 values of
+    # k = a - 1 + component, and alpha(7) is diagonal, so no antidiagonal
+    # table is summed
+    calls = [0]
+    add = CycNum.sum
+
+    def counting_sum(terms):
+        calls[0] += 1
+        return add(terms)
+
+    field = _dense_polynomial_field(random.Random(89), 7, 2, 0)
+    group = alpha_group(7)
+    ks = {a - 1 + component for component, a, _ in field.terms}
+    assert (len(field.terms), len(ks)) == (10, 6)
+    monkeypatch.setattr(CycNum, "sum", staticmethod(counting_sum))
+    avg = reynolds_average(group, field)
+    monkeypatch.undo()
+    assert calls[0] == 6
+    assert _keys(avg) == _keys(_definitional_average(group, field))
+
+
+def test_a_second_conjugation_tests_no_entry(is_zero_calls):
+    # the first conjugation by L tests its entries and keeps what it found;
+    # a second one reads that, and a group element also reads a wider
+    # field's missing factors off its exponents
+    rng = random.Random(97)
+    groups = [alpha_group(7), MonomialGroup.from_matrices([alpha_matrix(5), tau()])]
+    for L in [g for group in groups for g in group.elements]:
+        narrow, wide = _dense_polynomial_field(rng, 7, 1, 0), _dense_polynomial_field(rng, 7, 2, 3)
+        narrow.conjugate(L)
+        is_zero_calls.clear()
+        images = narrow.conjugate(L), wide.conjugate(L)
+        assert is_zero_calls == []
+        fresh = Mat2(*L.entries())
+        assert [_keys(v) for v in images] == [_keys(narrow.conjugate(fresh)), _keys(wide.conjugate(fresh))]
+    for L in (tau(), Mat2.diagonal(2, 3), Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0)):
+        field = _dense_polynomial_field(rng, 5, 2, 1)
+        first = field.conjugate(L)
+        is_zero_calls.clear()
+        assert _keys(field.conjugate(L)) == _keys(first)
+        assert is_zero_calls == []
+
+
+def test_singular_and_non_monomial_matrices_are_tested_on_every_use(monkeypatch):
+    field = _dense_polynomial_field(random.Random(101), 5)
+    singular = Mat2.diagonal(0, 1)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError):
+            field.conjugate(singular)
+    dets = [0]
+    det = Mat2.det
+
+    def counting_det(self):
+        dets[0] += 1
+        return det(self)
+
+    shear = Mat2(1, 1, 0, 1)
+    want = _conjugate_by_composition(field, shear)
+    monkeypatch.setattr(Mat2, "det", counting_det)
+    for n in (1, 2):
+        assert field.conjugate(shear) == want
+        assert dets[0] == n  # the generic branch, once per call
+    assert shear._factors is shear._swaps is singular._factors is singular._swaps is None
 
 
 def test_reynolds_average_of_the_zero_field_is_zero():
