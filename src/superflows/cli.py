@@ -4,9 +4,9 @@ Machine output (JSON lines, TSV) goes to stdout alone; human-oriented text is
 a separate format, never mixed onto the same stream.  Every sampled run is
 seeded and prints its seed, so identical config plus seed reproduces the
 report byte for byte.  The checks and their tolerances live in flows and
-symmetry; this module draws the samples and renders the records.  Exit status
-0 means every check in the run met its tolerance; 1 means some check failed;
-2 is a usage error, out-of-range values included.
+symmetry; each command draws the samples and returns its records, which
+`main` alone renders.  Exit status 0 means every check met its tolerance;
+1 means some check failed; 2 is a usage error, out-of-range values included.
 """
 
 from __future__ import annotations
@@ -83,127 +83,113 @@ def _emit(lines, args):
         sys.stdout.write(text)
 
 
-def _judge(records, args) -> list:
-    """The records, each held to --tol instead of its own tolerance when --tol is given."""
-    if args.tol is None:
-        return records
-    return [replace(r, tol=args.tol) for r in records]
+def _judge(record, args):
+    """The record, held to --tol instead of its own tolerance when --tol is given."""
+    return record if args.tol is None else replace(record, tol=args.tol)
 
 
-def _report(records, args) -> int:
-    records = _judge(records, args)
-    if args.format == "json":
-        lines = [_json_line({**r.as_dict(), "seed": args.seed}) for r in records]
-    else:
-        lines = [f"seed={args.seed}"]
-        for r in records:
-            lines.append(
-                f"{r.flow}  {r.check}: n={r.n_samples}  max_residual={r.max_residual:.3e}"
-            )
-    _emit(lines, args)
-    return 0 if all(r.passed for r in records) else 1
+def _report(records, args):
+    """The JSON records, text lines and verdict of checked records, as every cmd_* returns them."""
+    records = [_judge(r, args) for r in records]
+    text = [f"seed={args.seed}"] + [
+        f"{r.flow}  {r.check}: n={r.n_samples}  max_residual={r.max_residual:.3e}"
+        for r in records
+    ]
+    json_records = [{**r.as_dict(), "seed": args.seed} for r in records]
+    return json_records, text, all(r.passed for r in records)
 
 
-def cmd_classify(args) -> int:
+def _classify_text(rows):
+    for row in rows:
+        field = row.field.pretty() if row.field else "-"
+        extra = f"  (reduces to m={row.reduction})" if row.reduction else ""
+        yield (
+            f"m={row.m:<3d} |G|={row.group_order:<3d} {row.status:<10s} "
+            f"denom_deg={row.denom_degree if row.denom_degree is not None else '-':<3} "
+            f"field={field}{extra}"
+        )
+
+
+def _classify_tsv(rows):
+    yield "m\tgroup_order\tstatus\tdenom_degree\tfield\treduction"
+    for row in rows:
+        field = row.field.to_text() if row.field else None
+        values = (row.m, row.group_order, row.status, row.denom_degree, field, row.reduction)
+        yield "\t".join("" if v is None else str(v) for v in values)
+
+
+def cmd_classify(args):
+    # generators: only the format that is printed gets rendered
     rows = engine.classify_alpha(*args.m)
-    if args.format == "json":
-        lines = [_json_line(row.as_dict()) for row in rows]
-    elif args.format == "tsv":
-        lines = ["m\tgroup_order\tstatus\tdenom_degree\tfield\treduction"]
-        for row in rows:
-            field = row.field.to_text() if row.field else None
-            values = (row.m, row.group_order, row.status, row.denom_degree, field, row.reduction)
-            lines.append("\t".join("" if v is None else str(v) for v in values))
-    else:
-        lines = []
-        for row in rows:
-            field = row.field.pretty() if row.field else "-"
-            extra = f"  (reduces to m={row.reduction})" if row.reduction else ""
-            lines.append(
-                f"m={row.m:<3d} |G|={row.group_order:<3d} {row.status:<10s} "
-                f"denom_deg={row.denom_degree if row.denom_degree is not None else '-':<3} "
-                f"field={field}{extra}"
-            )
-    _emit(lines, args)
-    return 0
+    text = (_classify_tsv if args.format == "tsv" else _classify_text)(rows)
+    return (row.as_dict() for row in rows), text, True
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args):
     group = alpha_group(args.m)
     verdict = engine.find_superflow(group, max_denom_degree=args.max_degree)
-    if args.format == "json":
-        payload = {
-            "m": args.m,
-            "group_order": group.order,
-            "status": verdict.status,
-            "denom_degree": verdict.denom_degree,
-            "dimension": verdict.dimension,
-            "field": verdict.field.to_text() if verdict.field else None,
-            "scan_bound": verdict.scan_bound,
-        }
-        _emit([_json_line(payload)], args)
-    else:
-        _emit([f"{verdict.describe()}, |G| = {group.order}"], args)
-    return 0
+    payload = {
+        "m": args.m,
+        "group_order": group.order,
+        "status": verdict.status,
+        "denom_degree": verdict.denom_degree,
+        "dimension": verdict.dimension,
+        "field": verdict.field.to_text() if verdict.field else None,
+        "scan_bound": verdict.scan_bound,
+    }
+    return [payload], [f"{verdict.describe()}, |G| = {group.order}"], True
 
 
-def cmd_verify_flow(args) -> int:
+def cmd_verify_flow(args):
     flow = _make_flow(args.family, args)
     return _report([flows.check_translation(flow, random.Random(args.seed), args.samples)], args)
 
 
-def cmd_verify_pde(args) -> int:
+def cmd_verify_pde(args):
     flow = _make_flow(args.family, args)
     return _report(flows.check_pde(flow, random.Random(args.seed), args.samples), args)
 
 
-def cmd_orbits(args) -> int:
+def cmd_orbits(args):
     return _report(flows.check_orbits(random.Random(args.seed), args.samples, args.steps), args)
 
 
-def cmd_symmetry(args) -> int:
+def cmd_symmetry(args):
     flow = _make_flow(symmetry.FAMILIES[args.family][0], args)
     family = symmetry.flow_symmetry_family(flow)
     rng = random.Random(args.seed)
     samples = symmetry.draw_samples(flow, rng)
-    (record,) = _judge([symmetry.check_family_draws(flow, samples, rng, args.draws)], args)
-    if args.format == "json":
-        report = {
-            "flow": flow.label,
-            "family": family.label,
-            "n_draws": record.n_samples,
-            "all_passed": record.passed,
-            "worst_residual": record.max_residual,
-            "seed": args.seed,
-        }
-        lines = [_json_line(report)]
-    else:
-        lines = [
-            f"seed={args.seed}",
-            f"{flow.label}  {family.label}: draws={record.n_samples} "
-            f"all_passed={record.passed} worst_residual={record.max_residual:.3e}",
-        ]
-    _emit(lines, args)
-    return 0 if record.passed else 1
+    record = _judge(symmetry.check_family_draws(flow, samples, rng, args.draws), args)
+    report = {
+        "flow": flow.label,
+        "family": family.label,
+        "n_draws": record.n_samples,
+        "all_passed": record.passed,
+        "worst_residual": record.max_residual,
+        "seed": args.seed,
+    }
+    text = [
+        f"seed={args.seed}",
+        f"{flow.label}  {family.label}: draws={record.n_samples} "
+        f"all_passed={record.passed} worst_residual={record.max_residual:.3e}",
+    ]
+    return [report], text, record.passed
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
     results = selftest.run_all()
-    if args.format == "json":
-        lines = [
-            _json_line({"criterion": r.name, "passed": r.passed, "detail": r.detail,
-                        "elapsed_s": round(r.elapsed, 3)})
-            for r in results
-        ]
-    else:
-        lines = [
-            f"{'PASS' if r.passed else 'FAIL'}  {r.name}  ({r.elapsed:.2f}s)  {r.detail}"
-            for r in results
-        ]
-        passed = sum(r.passed for r in results)
-        lines.append(f"{passed}/{len(results)} criteria passed")
-    _emit(lines, args)
-    return 0 if all(r.passed for r in results) else 1
+    records = [
+        {"criterion": r.name, "passed": r.passed, "detail": r.detail,
+         "elapsed_s": round(r.elapsed, 3)}
+        for r in results
+    ]
+    text = [
+        f"{'PASS' if r.passed else 'FAIL'}  {r.name}  ({r.elapsed:.2f}s)  {r.detail}"
+        for r in results
+    ]
+    passed = sum(r.passed for r in results)
+    text.append(f"{passed}/{len(results)} criteria passed")
+    return records, text, passed == len(results)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,19 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("verify-flow", help="translation-equation residual for one flow")
-    p.add_argument("--family", choices=flows.FAMILIES, required=True)
-    p.add_argument("--k", type=positive, default=None)
-    p.add_argument("--samples", type=positive, default=100)
-    common(p)
-    p.set_defaults(func=cmd_verify_flow)
-
-    p = sub.add_parser("verify-pde", help="flow PDE residual and field extraction")
-    p.add_argument("--family", choices=flows.FAMILIES, required=True)
-    p.add_argument("--k", type=positive, default=None)
-    p.add_argument("--samples", type=positive, default=100)
-    common(p)
-    p.set_defaults(func=cmd_verify_pde)
+    for name, func, summary in (
+        ("verify-flow", cmd_verify_flow, "translation-equation residual for one flow"),
+        ("verify-pde", cmd_verify_pde, "flow PDE residual and field extraction"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--family", choices=flows.FAMILIES, required=True)
+        p.add_argument("--k", type=positive, default=None)
+        p.add_argument("--samples", type=positive, default=100)
+        common(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("orbits", help="orbit-function conservation along RK4 paths")
     p.add_argument("--steps", type=positive, default=1500)
@@ -280,12 +263,14 @@ def main(argv=None) -> int:
         except OSError as exc:
             parser.error(f"--out: cannot write {args.out}: {exc.strerror}")
     try:
-        return args.func(args)
+        json_records, text, passed = args.func(args)
+        _emit(map(_json_line, json_records) if args.format == "json" else text, args)
     except argparse.ArgumentError as exc:
         parser.error(str(exc))
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

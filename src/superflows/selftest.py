@@ -1,16 +1,18 @@
 """Acceptance checks runnable as one suite.
 
-Each criterion below is a pure function returning a CriterionResult; the CLI
-`selftest` command and the pytest acceptance module both drive this list, so
-the shipped binary and the test suite agree on what "passing" means.  All
-sampling is seeded.  The numeric criteria draw from one seeded generator and
-run the check functions of `flows` and `symmetry`, which own the tolerances
-and are the same ones the CLI runs; their failing records are the problems
-reported.  The exact criteria compare against closed forms and oracles here.
+Each criterion below is registered in CRITERIA by `_criterion`, which times it
+and returns its CriterionResult; the CLI `selftest` command and the pytest
+acceptance module both drive that list, so the shipped binary and the test
+suite agree on what "passing" means.  All sampling is seeded.  The numeric
+criteria draw from one seeded generator and run the check functions of
+`flows` and `symmetry`, which own the tolerances and are the same ones the
+CLI runs; their failing records are the problems reported.  The exact
+criteria compare against closed forms and oracles here.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -33,17 +35,41 @@ class CriterionResult:
     elapsed: float
 
 
-def _result(name, start, passed, detail) -> CriterionResult:
-    return CriterionResult(name, passed, detail, time.perf_counter() - start)
+CRITERIA = []  # (name, criterion) pairs, in the order the criteria are defined
+
+
+def _criterion(name: str, time_limit: float | None = None):
+    """Register a check in CRITERIA under `name`; it runs timed and returns a CriterionResult.
+
+    The check returns (problems, detail): the criterion passes when problems
+    is empty, and then reports detail.  With a time limit, a run at or past
+    it is one more problem, and a passing detail ends with the elapsed time.
+    """
+    def register(check):
+        @functools.wraps(check)
+        def run() -> CriterionResult:
+            start = time.perf_counter()
+            problems, detail = check()
+            elapsed = time.perf_counter() - start
+            if time_limit is not None:
+                if elapsed >= time_limit:
+                    problems.append(f"runtime {elapsed:.1f}s exceeds {time_limit:.0f}s")
+                detail += f", {elapsed:.2f}s"
+            return CriterionResult(name, not problems, "; ".join(problems) or detail, elapsed)
+
+        CRITERIA.append((name, run))
+        return run
+
+    return register
 
 
 def _failures(records) -> list[str]:
     return [f"{r.flow} {r.check} {r.max_residual:.2e}" for r in records if not r.passed]
 
 
-def criterion_classification() -> CriterionResult:
+@_criterion("classification", time_limit=30.0)
+def criterion_classification():
     """classify over m = 3..20: superflow exactly off multiples of 4, exact fields."""
-    start = time.perf_counter()
     rows = engine.classify_alpha(3, 20)
     problems = []
     for row in rows:
@@ -61,16 +87,11 @@ def criterion_classification() -> CriterionResult:
             want = monomial_field(1, 2 * k + 1, 0, 2 * k - 1)
             if row.field != want or row.denom_degree != 2 * k - 1:
                 problems.append(f"m={row.m}: field {row.field}")
-    elapsed = time.perf_counter() - start
-    if elapsed >= 30.0:
-        problems.append(f"runtime {elapsed:.1f}s exceeds 30s")
-    detail = "; ".join(problems) if problems else (
-        f"18 rows match, fields exact, {elapsed:.2f}s"
-    )
-    return _result("classification", start, not problems, detail)
+    return problems, "18 rows match, fields exact"
 
 
-def criterion_character_sums() -> CriterionResult:
+@_criterion("character_sum_oracle")
+def criterion_character_sums():
     """The verdict's survivor classes vs exact group averages, one period.
 
     `engine._survivor_class(group, component)` decides every verdict.  For each
@@ -82,7 +103,6 @@ def criterion_character_sums() -> CriterionResult:
     while the averages run over its closure by Mat2 products, so the oracle
     shares no group code with the classes.
     """
-    start = time.perf_counter()
     z3 = root_of_unity(3)
     cases = [(f"alpha({m})", alpha_group(m), [alpha_matrix(m)]) for m in range(3, 14)]
     two = [Mat2.diagonal(z3, z3 ** 2), Mat2.diagonal(root_of_unity(4), 1)]
@@ -99,22 +119,18 @@ def criterion_character_sums() -> CriterionResult:
                 want = field if survives else RatVF.zero()
                 checked += 1
                 if reynolds_average(oracle, field) != want:
-                    bad.append((label, component, a))
-    detail = (
-        f"{checked} monomials agree over {len(cases)} groups"
-        if not bad else f"disagreements: {bad[:5]}"
-    )
-    return _result("character_sum_oracle", start, not bad, detail)
+                    bad.append(f"disagreement: {label} component {component} a={a}")
+    return bad[:5], f"{checked} monomials agree over {len(cases)} groups"
 
 
-def criterion_reynolds() -> CriterionResult:
+@_criterion("reynolds_properties")
+def criterion_reynolds():
     """Averaging is idempotent and its output exactly invariant, 50 fields per group.
 
     The first 10 fields of each group are also compared with the
     definitional sum of their conjugates over |G|, and each group must give
     a nonzero average, so that a map to the zero field cannot pass.
     """
-    start = time.perf_counter()
     rng = random.Random(SEED)
     failures = []
     compared = nonzero = 0
@@ -143,60 +159,43 @@ def criterion_reynolds() -> CriterionResult:
                 compared += 1
                 definition = RatVF.sum(field.conjugate(g) for g in group)
                 if avg != definition.scale(Fraction(1, len(group))):
-                    failures.append((m, trial, "definition"))
+                    failures.append(f"m={m} trial {trial}: definition")
             if reynolds_average(group, avg) != avg:
-                failures.append((m, trial, "idempotence"))
+                failures.append(f"m={m} trial {trial}: idempotence")
             if not all(avg.conjugate(g) == avg for g in group):
-                failures.append((m, trial, "invariance"))
+                failures.append(f"m={m} trial {trial}: invariance")
         if not group_nonzero:
-            failures.append((m, "every average is zero"))
+            failures.append(f"m={m}: every average is zero")
         nonzero += group_nonzero
-    detail = (
-        f"150 fields pass, {compared} equal the definitional sum, {nonzero} averages nonzero"
-        if not failures else f"failures: {failures[:5]}"
-    )
-    return _result("reynolds_properties", start, not failures, detail)
+    detail = f"150 fields pass, {compared} equal the definitional sum, {nonzero} averages nonzero"
+    return failures[:5], detail
 
 
-def criterion_flow_identities() -> CriterionResult:
+@_criterion("flow_identities", time_limit=10.0)
+def criterion_flow_identities():
     """Translation identity, PDE, and field extraction for every cataloged flow."""
-    start = time.perf_counter()
     rng = random.Random(SEED)
     records = []
     for flow in flows.catalog():
         records.append(flows.check_translation(flow, rng, 200))
         records += flows.check_pde(flow, rng, 200)
-    problems = _failures(records)
-    elapsed = time.perf_counter() - start
-    if elapsed >= 10.0:
-        problems.append(f"runtime {elapsed:.1f}s exceeds 10s")
-    detail = "; ".join(problems) if problems else (
-        f"7 flows x (translation, pde, field), {elapsed:.2f}s"
-    )
-    return _result("flow_identities", start, not problems, detail)
+    return _failures(records), "7 flows x (translation, pde, field)"
 
 
-def criterion_orbits() -> CriterionResult:
+@_criterion("orbit_checks")
+def criterion_orbits():
     """Orbit functions stay constant along RK4 trajectories; orbit ODE residuals."""
-    start = time.perf_counter()
     problems = _failures(flows.check_orbits(random.Random(SEED), 100, 1500))
-    detail = "; ".join(problems) if problems else "3 orbit examples conserved"
-    return _result("orbit_checks", start, not problems, detail)
+    return problems, "3 orbit examples conserved"
 
 
-def criterion_symmetry_families() -> CriterionResult:
+@_criterion("symmetry_families")
+def criterion_symmetry_families():
     """Family draws pass, off-family draws fail, finite-order laws exact."""
-    start = time.perf_counter()
     rng = random.Random(SEED)
     problems = []
-    paired = [
-        flows.ClosedFormFlow("radical_x", 1),
-        flows.ClosedFormFlow("radical_x", 2),
-        flows.ClosedFormFlow("radical_y", 1),
-        flows.ClosedFormFlow("radical_y", 2),
-        flows.ClosedFormFlow("parabolic"),
-        flows.ClosedFormFlow("sph_inf"),
-    ]
+    # every cataloged flow but level0, which has no symmetry family
+    paired = [flow for flow in flows.catalog() if flow.family != "level0"]
     for flow in paired:
         samples = symmetry.draw_samples(flow, rng)
         problems += _failures([symmetry.check_family_draws(flow, samples, rng, 20)])
@@ -229,15 +228,12 @@ def criterion_symmetry_families() -> CriterionResult:
         problems.append("gamma(d=1, b=2) should be infinite")
     if symmetry.family_finite_order(symmetry.delta_tilde(), (Fraction(3, 7), root_of_unity(6))) != 6:
         problems.append("delta(b, zeta_6) should have order 6")
-    detail = "; ".join(problems) if problems else (
-        "6 families x 20 draws pass, 6 x 20 off-family fail, orders exact"
-    )
-    return _result("symmetry_families", start, not problems, detail)
+    return problems, "6 families x 20 draws pass, 6 x 20 off-family fail, orders exact"
 
 
-def criterion_impossibility() -> CriterionResult:
+@_criterion("impossibility")
+def criterion_impossibility():
     """m in {4, 8, 12}: verdict none via shortcut and via empty survivor classes, agreeing."""
-    start = time.perf_counter()
     problems = []
     for m in (4, 8, 12):
         group = alpha_group(m)
@@ -247,13 +243,12 @@ def criterion_impossibility() -> CriterionResult:
             problems.append(f"m={m}: shortcut not taken")
         if fast.status != "none" or classes != [None, None]:
             problems.append(f"m={m}: {fast.status}, survivor classes {classes}")
-    detail = "; ".join(problems) if problems else "shortcut and empty classes agree on none"
-    return _result("impossibility", start, not problems, detail)
+    return problems, "shortcut and empty classes agree on none"
 
 
-def criterion_tau_reduction() -> CriterionResult:
+@_criterion("tau_reduction")
+def criterion_tau_reduction():
     """m = 2 mod 4 superflow equals the tau-conjugate of the odd-case superflow."""
-    start = time.perf_counter()
     problems = []
     swap = tau()
     for m in (6, 10, 14):
@@ -267,20 +262,7 @@ def criterion_tau_reduction() -> CriterionResult:
             problems.append(
                 f"m={m}: {even_field.pretty()} != tau-conj {expected.pretty()}"
             )
-    detail = "; ".join(problems) if problems else "m=6,10,14 reduce exactly"
-    return _result("tau_reduction", start, not problems, detail)
-
-
-CRITERIA = [
-    ("classification", criterion_classification),
-    ("character_sum_oracle", criterion_character_sums),
-    ("reynolds_properties", criterion_reynolds),
-    ("flow_identities", criterion_flow_identities),
-    ("orbit_checks", criterion_orbits),
-    ("symmetry_families", criterion_symmetry_families),
-    ("impossibility", criterion_impossibility),
-    ("tau_reduction", criterion_tau_reduction),
-]
+    return problems, "m=6,10,14 reduce exactly"
 
 
 def run_all() -> list[CriterionResult]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import gcd, lcm, tau
+from math import gcd, tau
 
 from .cyclotomic import CycNum, as_cycnum
 from .errors import BranchError
@@ -277,8 +277,7 @@ def family_finite_order(family: SymmetryFamily, params):
         order = c.multiplicative_order()
         if order is None:
             return None
-        e1, e2 = family.exponents
-        return lcm(order // gcd(order, e1), order // gcd(order, e2))
+        return order // gcd(order, *family.exponents)
     if family.kind == "delta_tilde":
         b, d = params
     else:
@@ -286,11 +285,8 @@ def family_finite_order(family: SymmetryFamily, params):
     d = as_cycnum(d)
     if d == 1:
         return 1 if _is_zero_param(b) else None
-    order = d.multiplicative_order()
-    if order is None:
-        return None
-    # eigenvalues d^2 and d are distinct, so the matrix is diagonalizable
-    return lcm(order // gcd(order, 2), order)
+    # distinct eigenvalues d^2 and d: diagonalizable, of the order of d
+    return d.multiplicative_order()
 
 
 def _is_zero_param(b) -> bool:

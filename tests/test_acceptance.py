@@ -18,7 +18,17 @@ NAMES = [name for name, _ in selftest.CRITERIA]
 def test_acceptance_criterion(name):
     result = dict(selftest.CRITERIA)[name]()
     print(f"{'PASS' if result.passed else 'FAIL'}  {name}  ({result.elapsed:.2f}s)  {result.detail}")
+    assert result.name == name
     assert result.passed, f"{name}: {result.detail}"
+
+
+def test_every_criterion_is_registered_once_in_order():
+    defined = [value for attr, value in vars(selftest).items() if attr.startswith("criterion_")]
+    assert [criterion for _, criterion in selftest.CRITERIA] == defined
+    assert NAMES == [
+        "classification", "character_sum_oracle", "reynolds_properties", "flow_identities",
+        "orbit_checks", "symmetry_families", "impossibility", "tau_reduction",
+    ]
 
 
 def test_reynolds_properties_fails_on_a_zero_map(monkeypatch):

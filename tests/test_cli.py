@@ -231,6 +231,7 @@ def test_float_overflow_is_an_error_line(argv, capsys):
         ["classify", "--m", "5.."],
         ["classify", "--m", "..5"],
         ["symmetry", "--family", "delta_tilde", "--samples", "5"],
+        ["verify-flow", "--family", "parabolic", "--tol", "abc"],
     ],
 )
 def test_invalid_values_are_usage_errors(argv, capsys):

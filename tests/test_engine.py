@@ -19,7 +19,7 @@ from superflows.engine import (
     find_superflow,
     invariant_space,
 )
-from superflows.homog import monomial_field
+from superflows.homog import RatVF, monomial_field
 from superflows.matgroup import (
     FiniteMatrixGroup,
     Mat2,
@@ -385,6 +385,23 @@ def test_none_is_a_proof_only_after_a_full_period():
         assert proved.status == "none" and proved.scan_bound is None
         assert proved.describe() == "none (degree scan)"
     assert find_superflow(group, max_denom_degree=2).scan_bound == 2
+
+
+def test_elimination_reduces_overlapping_rows():
+    # y^2 + xy and xy + x^2 share xy without being proportional, so reducing
+    # one by the other keeps the entries that do not cancel; the third row
+    # 2y^2 reduces to 2x^2, which is then back-substituted into the first two
+    y2, xy, x2 = (RatVF.monomial(0, a) for a in (0, 1, 2))
+    basis = _eliminate([RatVF.sum([y2, xy]), RatVF.sum([xy, x2]), y2.scale(2)])
+    assert basis == [y2, xy, x2]
+
+
+def test_not_unique_names_its_dimension_and_degree():
+    # (n, s, t) = (6, 2, 4) is diag(zeta_3, zeta_3^2), which fixes both
+    # y^2 . 0 and 0 . x^2: the least degree 0 has a 2-dimensional space
+    verdict = find_superflow(MonomialGroup(3, [(0, 2, 4)]))
+    assert verdict.status == "not_unique" and verdict.dimension == 2
+    assert verdict.describe() == "not unique: 2-dimensional invariant space at denom degree 0"
 
 
 def test_diagonal_entry_must_be_a_root_of_unity():

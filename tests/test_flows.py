@@ -64,6 +64,31 @@ def _anchored_root(anchor, rate, t, n):
     return anchor * cmath.exp(cmath.log(tip / base) / n)
 
 
+def test_radical_anchor_at_zero_is_a_singular_point():
+    for family, point in (("radical_x", (0, 1)), ("radical_y", (1, 0))):
+        with pytest.raises(SingularPointError, match="radical anchor vanishes"):
+            ClosedFormFlow(family, 1).eval(point, 0.5)
+
+
+def test_monomial_map_moving_y_at_n_1_is_the_flow_of_x_squared():
+    # (x, x^2 t + y), the flow of the m = 6 verdict 0 . x^2, which no catalog
+    # family binds: it satisfies the translation identity, and its t-derivative
+    # is the field at the moved point
+    phi = flows._monomial_map(1, 1)
+    evaluate = RatVF.monomial(1, 2).evaluator()
+    rng = random.Random(41)
+    h = 1e-6
+    for _ in range(50):
+        x, y = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
+        s, t = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        moved, direct = phi(*phi(x, y, s), t), phi(x, y, s + t)
+        assert max(abs(a - b) for a, b in zip(moved, direct)) <= 1e-12
+        ahead, behind = phi(x, y, t + h), phi(x, y, t - h)
+        slope = [(a - b) / (2 * h) for a, b in zip(ahead, behind)]
+        want = evaluate(*phi(x, y, t))
+        assert max(abs(a - b) for a, b in zip(slope, want)) <= 1e-6
+
+
 def _per_family_eval(family, k, p, t):
     """The three formulas the one monomial flow replaced, kept as its bit-level reference."""
     x, y, t = complex(p[0]), complex(p[1]), complex(t)
@@ -448,6 +473,11 @@ def test_orbit_residual_reads_a_stream_as_it_reads_the_list():
     field, orbit = nonalgebraic_field(), OrbitFunction("nonalgebraic_example")
     path = integrate_trajectory(field, (1, 1), 0.3, 200)
     assert orbit_residual(orbit, iter(path)) == orbit_residual(orbit, path)
+
+
+def test_orbit_residual_refuses_a_start_where_the_orbit_function_vanishes():
+    with pytest.raises(SingularPointError, match="vanishes at the start point"):
+        orbit_residual(OrbitFunction("coordinate_y"), [(1, 0), (2, 0)])
 
 
 def test_orbit_residual_rejects_an_empty_path():

@@ -739,3 +739,14 @@ def test_pretty_forms():
     assert monomial_field(1, 3, 0, 1).pretty() == "0 • x^3/y"
     square = HomPoly(2, [1, -2, 1])
     assert RatVF(square, square).pretty() == "x^2-2xy+y^2 • x^2-2xy+y^2"
+
+
+def test_pretty_prints_minus_one_irrational_and_several_terms_over_a_denominator():
+    # -y^3/x and zeta_3 x^3/x share the denominator x, so the first component
+    # is parenthesized; -xy^2/x reads its coefficient -1 as a bare minus sign
+    field = RatVF.sum([
+        RatVF.monomial(0, -1, -1),
+        RatVF.monomial(0, 2, root_of_unity(3)),
+        RatVF.monomial(1, 0, -1),
+    ])
+    assert field.pretty() == "([z; z = zeta_3]x^3-y^3)/x • -xy^2/x"

@@ -56,6 +56,19 @@ def test_numeric_field_symmetry_refuses_no_samples():
     assert check_field_symmetry(Mat2.diagonal(5, 1), field, []) == (False, float("inf"))
 
 
+def test_exact_shear_on_a_field_with_a_denominator_matches_its_complex_entries():
+    # the shear is neither diagonal nor antidiagonal and the field has the
+    # denominator x^2, so an exact Mat2 takes the numeric route; it must
+    # read the same entries as nested complex pairs.  At (2, 1) the
+    # residual is |V_x(3, 1) - V_x(2, 1)| = |1/27 - 1/12| = 5/108.
+    field = ClosedFormFlow("radical_x", 1).vector_field()  # y^4/(3x^2) . 0
+    points = field_points(random.Random(34)) + [(2, 1)]
+    exact = check_field_symmetry(Mat2(1, 1, 0, 1), field, points)
+    assert exact == check_field_symmetry(((1, 1), (0, 1)), field, points)
+    assert not exact[0]
+    assert check_field_symmetry(Mat2(1, 1, 0, 1), field, [(2, 1)])[1] == pytest.approx(5 / 108)
+
+
 def test_diag_2_3_fails_exponent_relation():
     rng = random.Random(32)
     ok, resid = check_field_symmetry(
