@@ -48,6 +48,7 @@ def _tolerance(text: str) -> float:
 
 
 _m_value = _int_at_least(3)
+_positive = _int_at_least(1)
 
 
 def _m_range(text: str) -> tuple[int, int]:
@@ -68,10 +69,18 @@ def _make_flow(family: str, args) -> flows.ClosedFormFlow:
         raise argparse.ArgumentError(None, f"--family {args.family}: {exc}") from None
 
 
+def _finite(value):
+    """value, with each NaN or infinity in it written as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
 def _json_line(record: dict) -> str:
     """One JSON line.  JSON (RFC 8259) has no NaN or Infinity: those are written as null."""
-    text = json.dumps(record, sort_keys=True)
-    return json.dumps(json.loads(text, parse_constant=lambda _: None), allow_nan=False)
+    return json.dumps({k: _finite(v) for k, v in record.items()}, sort_keys=True, allow_nan=False)
 
 
 def _emit(lines, args):
@@ -192,69 +201,60 @@ def cmd_selftest(args):
     return records, text, passed == len(results)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _output(*formats):
+    """--out, and --format with text, json and any further formats."""
+    return (("--out", dict(default=None)),
+            ("--format", dict(choices=("text", "json", *formats), default="text")))
+
+
+_CHECKS = (("--seed", dict(type=int, default=1)),
+           ("--tol", dict(type=_tolerance, default=None,
+                          help="tolerance for every check, replacing each one's own")),
+           *_output())
+_FLOW = (("--family", dict(choices=flows.FAMILIES, required=True)),
+         ("--k", dict(type=_positive, default=None)),
+         ("--samples", dict(type=_positive, default=100)), *_CHECKS)
+
+# each command's name, help, handler and options, in --help order
+_COMMANDS = (
+    ("classify", "superflow verdicts for alpha groups over an m range", cmd_classify, (
+        ("--m", dict(type=_m_range, required=True, help="single m or a range lo..hi")),
+        *_output("tsv"))),
+    ("solve", "superflow verdict for one alpha group", cmd_solve, (
+        ("--m", dict(type=_m_value, required=True)),
+        ("--max-degree", dict(type=_int_at_least(0), default=None)), *_output())),
+    ("verify-flow", "translation-equation residual for one flow", cmd_verify_flow, _FLOW),
+    ("verify-pde", "flow PDE residual and field extraction", cmd_verify_pde, _FLOW),
+    ("orbits", "orbit-function conservation along RK4 paths", cmd_orbits, (
+        ("--steps", dict(type=_positive, default=1500)),
+        ("--samples", dict(type=_positive, default=100)), *_CHECKS)),
+    ("symmetry", "sampled verification of a symmetry family", cmd_symmetry, (
+        ("--family", dict(choices=sorted(symmetry.FAMILIES), required=True)),
+        ("--k", dict(type=_positive, default=None)),
+        ("--draws", dict(type=_positive, default=20)), *_CHECKS)),
+    ("selftest", "run every acceptance criterion", cmd_selftest, _output()),
+)
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every command by name and help; only `command` gets its options, most of a parser's cost."""
     parser = argparse.ArgumentParser(
         prog="superflows",
         description="decide, construct, and verify 2-d projective superflows",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    positive = _int_at_least(1)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--tol", type=_tolerance, default=None,
-                       help="tolerance for every check, replacing each one's own")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("classify", help="superflow verdicts for alpha groups over an m range")
-    p.add_argument("--m", type=_m_range, required=True, help="single m or a range lo..hi")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("solve", help="superflow verdict for one alpha group")
-    p.add_argument("--m", type=_m_value, required=True)
-    p.add_argument("--max-degree", type=_int_at_least(0), default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_solve)
-
-    for name, func, summary in (
-        ("verify-flow", cmd_verify_flow, "translation-equation residual for one flow"),
-        ("verify-pde", cmd_verify_pde, "flow PDE residual and field extraction"),
-    ):
+    for name, summary, func, options in _COMMANDS:
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--family", choices=flows.FAMILIES, required=True)
-        p.add_argument("--k", type=positive, default=None)
-        p.add_argument("--samples", type=positive, default=100)
-        common(p)
-        p.set_defaults(func=func)
-
-    p = sub.add_parser("orbits", help="orbit-function conservation along RK4 paths")
-    p.add_argument("--steps", type=positive, default=1500)
-    p.add_argument("--samples", type=positive, default=100)
-    common(p)
-    p.set_defaults(func=cmd_orbits)
-
-    p = sub.add_parser("symmetry", help="sampled verification of a symmetry family")
-    p.add_argument("--family", choices=sorted(symmetry.FAMILIES), required=True)
-    p.add_argument("--k", type=positive, default=None)
-    p.add_argument("--draws", type=positive, default=20)
-    common(p)
-    p.set_defaults(func=cmd_symmetry)
-
-    p = sub.add_parser("selftest", help="run every acceptance criterion")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_selftest)
-
+        if name == command:
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if args.out:
         # an unwritable --out is a usage error before the command does any work

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -169,6 +171,56 @@ def test_symmetry_command():
 def test_radical_family_requires_k():
     with pytest.raises(SystemExit):
         run_cli(["verify-flow", "--family", "radical_x"])
+
+
+CHECK_OPTIONS = ["--seed", "--tol", "--out", "--format"]
+
+# each command's options in --help order
+OPTIONS = {
+    "classify": ["--m", "--out", "--format"],
+    "solve": ["--m", "--max-degree", "--out", "--format"],
+    "verify-flow": ["--family", "--k", "--samples", *CHECK_OPTIONS],
+    "verify-pde": ["--family", "--k", "--samples", *CHECK_OPTIONS],
+    "orbits": ["--steps", "--samples", *CHECK_OPTIONS],
+    "symmetry": ["--family", "--k", "--draws", *CHECK_OPTIONS],
+    "selftest": ["--out", "--format"],
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_parser_adds_the_options_of_the_invoked_command_only(command):
+    parser = cli.build_parser(command)
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(OPTIONS)
+    for name, sub in commands.choices.items():
+        flags = [a.option_strings[0] for a in sub._actions]
+        assert flags == (["-h", *OPTIONS[name]] if name == command else ["-h"])
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"]])
+def test_a_missing_or_unknown_command_is_a_usage_error_naming_every_command(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "{" + ",".join(OPTIONS) + "}" in err
+    if argv:
+        assert "invalid choice: 'bogus' (choose from " + ", ".join(f"'{c}'" for c in OPTIONS) in err
+
+
+def test_main_reads_the_command_line_by_default(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["superflows", "solve", "--m", "7", "--format", "json"])
+    code, out = run_cli(None)
+    assert code == 0 and json.loads(out)["group_order"] == 14
+
+
+def test_selftest_runs_in_process():
+    code, out = run_cli(["selftest", "--format", "json"])
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["criterion"] for r in records] == [name for name, _ in selftest.CRITERIA]
+    assert len(records) == 8
+    assert all(r["passed"] is True and r["elapsed_s"] >= 0 for r in records)
 
 
 def test_usage_error_exit_code():

@@ -159,6 +159,17 @@ def test_modulus_one_without_finite_order_takes_the_exact_route(monkeypatch):
     assert powers
 
 
+def test_a_root_that_torsion_log_misses_takes_its_order_from_powers(monkeypatch):
+    # torsion_log's modulus filter is a float test, not a proof at every
+    # conductor; a root it misses gets its order from self**L == 1, with each
+    # prime of L stripped while a power is still one
+    monkeypatch.setattr(CycNum, "torsion_log", lambda self: None)
+    powers = _count_powers(monkeypatch)
+    assert torsion_root(12, 4).multiplicative_order() == 3
+    assert powers == [12, 6, 3, 1]  # L = 12, stripped to 6 and to 3, and z**1 != 1
+    assert torsion_root(30, 7).multiplicative_order() == 30
+
+
 def test_torsion_root_is_the_root_of_the_even_order():
     for n in range(1, 16):
         bound = math.lcm(2, n)

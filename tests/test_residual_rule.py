@@ -168,6 +168,13 @@ def _strict_json_lines(text):
     return [json.loads(line, parse_constant=refuse) for line in text.splitlines()]
 
 
+def test_a_json_line_writes_every_non_finite_number_as_null():
+    # at any depth, as in a worst sample; the keys are sorted
+    record = {"worst_sample": [[math.nan, 0.5], (-math.inf, 1)], "max_residual": math.inf, "n": 3}
+    line = cli._json_line(record)
+    assert line == '{"max_residual": null, "n": 3, "worst_sample": [[null, 0.5], [null, 1]]}'
+
+
 def _run_json(argv):
     out = io.StringIO()
     with redirect_stdout(out):
