@@ -78,9 +78,13 @@ def _finite(value):
     return value
 
 
+# one encoder for every line: json.dumps with any option set builds a new one per call
+_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def _json_line(record: dict) -> str:
     """One JSON line.  JSON (RFC 8259) has no NaN or Infinity: those are written as null."""
-    return json.dumps({k: _finite(v) for k, v in record.items()}, sort_keys=True, allow_nan=False)
+    return _JSON.encode({k: _finite(v) for k, v in record.items()})
 
 
 def _emit(lines, args):
@@ -108,44 +112,53 @@ def _report(records, args):
     return json_records, text, all(r.passed for r in records)
 
 
+def _verdict_keys(m, group, verdict) -> dict:
+    """The five JSON keys that solve and classify share, read off the verdict of <alpha(m)>."""
+    return {"m": m, "group_order": group.order, "status": verdict.status,
+            "denom_degree": verdict.denom_degree,
+            "field": verdict.field.to_text() if verdict.field else None}
+
+
+def _reduction(m: int) -> int | None:
+    """For m = 2 mod 4, the odd order m/2 that <alpha(m)> reduces to by tau."""
+    return m // 2 if m % 4 == 2 else None
+
+
 def _classify_text(rows):
-    for row in rows:
-        field = row.field.pretty() if row.field else "-"
-        extra = f"  (reduces to m={row.reduction})" if row.reduction else ""
+    for m, group, verdict in rows:
+        field = verdict.field.pretty() if verdict.field else "-"
+        reduction = _reduction(m)
+        extra = f"  (reduces to m={reduction})" if reduction else ""
+        degree = "-" if verdict.denom_degree is None else verdict.denom_degree
         yield (
-            f"m={row.m:<3d} |G|={row.group_order:<3d} {row.status:<10s} "
-            f"denom_deg={row.denom_degree if row.denom_degree is not None else '-':<3} "
-            f"field={field}{extra}"
+            f"m={m:<3d} |G|={group.order:<3d} {verdict.status:<10s} "
+            f"denom_deg={degree:<3} field={field}{extra}"
         )
 
 
 def _classify_tsv(rows):
     yield "m\tgroup_order\tstatus\tdenom_degree\tfield\treduction"
-    for row in rows:
-        field = row.field.to_text() if row.field else None
-        values = (row.m, row.group_order, row.status, row.denom_degree, field, row.reduction)
-        yield "\t".join("" if v is None else str(v) for v in values)
+    for m, group, verdict in rows:
+        field = verdict.field.to_text() if verdict.field else None
+        values = (m, group.order, verdict.status, verdict.denom_degree, field, _reduction(m))
+        yield "\t".join(["" if v is None else str(v) for v in values])
 
 
 def cmd_classify(args):
     # generators: only the format that is printed gets rendered
     rows = engine.classify_alpha(*args.m)
     text = (_classify_tsv if args.format == "tsv" else _classify_text)(rows)
-    return (row.as_dict() for row in rows), text, True
+    records = ({**_verdict_keys(m, group, verdict),
+                "field_pretty": verdict.field.pretty() if verdict.field else None,
+                "reduction": _reduction(m)} for m, group, verdict in rows)
+    return records, text, True
 
 
 def cmd_solve(args):
     group = alpha_group(args.m)
     verdict = engine.find_superflow(group, max_denom_degree=args.max_degree)
-    payload = {
-        "m": args.m,
-        "group_order": group.order,
-        "status": verdict.status,
-        "denom_degree": verdict.denom_degree,
-        "dimension": verdict.dimension,
-        "field": verdict.field.to_text() if verdict.field else None,
-        "scan_bound": verdict.scan_bound,
-    }
+    payload = {**_verdict_keys(args.m, group, verdict),
+               "dimension": verdict.dimension, "scan_bound": verdict.scan_bound}
     return [payload], [f"{verdict.describe()}, |G| = {group.order}"], True
 
 

@@ -36,7 +36,6 @@ from .matgroup import FiniteMatrixGroup, MonomialGroup, alpha_group
 
 __all__ = [
     "SuperflowVerdict",
-    "ClassifyRow",
     "invariant_space",
     "find_superflow",
     "classify_alpha",
@@ -236,44 +235,12 @@ def find_superflow(
     return SuperflowVerdict("superflow", field.normalized(), degree, 1)
 
 
-@dataclass(frozen=True)
-class ClassifyRow:
-    m: int
-    group_order: int
-    status: str
-    denom_degree: int | None
-    field: RatVF | None
-    reduction: int | None  # for m = 2 mod 4, the odd order it reduces to
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "group_order": self.group_order,
-            "status": self.status,
-            "denom_degree": self.denom_degree,
-            "field": self.field.to_text() if self.field else None,
-            "field_pretty": self.field.pretty() if self.field else None,
-            "reduction": self.reduction,
-        }
-
-
-def classify_alpha(m_lo: int, m_hi: int) -> list[ClassifyRow]:
-    """One verdict row per m in [m_lo, m_hi] for the groups <alpha(m)>."""
+def classify_alpha(m_lo: int, m_hi: int) -> list[tuple[int, MonomialGroup, SuperflowVerdict]]:
+    """(m, group, verdict) for each m in [m_lo, m_hi]: the group <alpha(m)> and its verdict."""
     if not 3 <= m_lo <= m_hi:
         raise ValueError("need 3 <= m_lo <= m_hi")
     rows = []
     for m in range(m_lo, m_hi + 1):
         group = alpha_group(m)
-        verdict = find_superflow(group)
-        reduction = m // 2 if m % 4 == 2 else None
-        rows.append(
-            ClassifyRow(
-                m=m,
-                group_order=group.order,
-                status=verdict.status,
-                denom_degree=verdict.denom_degree,
-                field=verdict.field,
-                reduction=reduction,
-            )
-        )
+        rows.append((m, group, find_superflow(group)))
     return rows

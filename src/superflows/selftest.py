@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import engine, flows, symmetry
 from .cyclotomic import CycNum, root_of_unity
 from .errors import BranchError
-from .homog import HomPoly, RatVF, monomial_field, reynolds_average
+from .homog import HomPoly, RatVF, reynolds_average
 from .matgroup import Mat2, MonomialGroup, alpha_group, alpha_matrix, generate_group, tau
 
 SEED = 20160808
@@ -70,23 +70,20 @@ def _failures(records) -> list[str]:
 @_criterion("classification", time_limit=30.0)
 def criterion_classification():
     """classify over m = 3..20: superflow exactly off multiples of 4, exact fields."""
-    rows = engine.classify_alpha(3, 20)
     problems = []
-    for row in rows:
-        expect_super = row.m % 4 != 0
-        if (row.status == "superflow") != expect_super:
-            problems.append(f"m={row.m}: status {row.status}")
+    for m, _, verdict in engine.classify_alpha(3, 20):
+        if (verdict.status == "superflow") != (m % 4 != 0):
+            problems.append(f"m={m}: status {verdict.status}")
             continue
-        if row.m % 4 == 3:
-            k = (row.m - 3) // 4
-            want = monomial_field(0, 0, 2 * k, 0)
-            if row.field != want or row.denom_degree != 2 * k:
-                problems.append(f"m={row.m}: field {row.field}")
-        elif row.m % 4 == 1:
-            k = (row.m - 1) // 4
-            want = monomial_field(1, 2 * k + 1, 0, 2 * k - 1)
-            if row.field != want or row.denom_degree != 2 * k - 1:
-                problems.append(f"m={row.m}: field {row.field}")
+        k, r = divmod(m, 4)
+        if r == 3:  # y^(2k+2)/x^(2k) in the first component
+            want = (RatVF.monomial(0, -2 * k), 2 * k)
+        elif r == 1:  # x^(2k+1)/y^(2k-1) in the second
+            want = (RatVF.monomial(1, 2 * k + 1), 2 * k - 1)
+        else:
+            continue
+        if (verdict.field, verdict.denom_degree) != want:
+            problems.append(f"m={m}: field {verdict.field}")
     return problems, "18 rows match, fields exact"
 
 

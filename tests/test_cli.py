@@ -55,6 +55,29 @@ def test_classify_json_round_trip():
     assert row["field"] == monomial_field(0, 0, 2, 0).to_text()
 
 
+def test_solve_classify_and_tsv_agree_on_every_shared_value():
+    # one helper builds the keys that both commands print; this pins them against drift
+    shared = ("m", "group_order", "status", "denom_degree", "field")
+    code, out = run_cli(["classify", "--m", "3..60", "--format", "json"])
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["m"] for r in records] == list(range(3, 61))
+    for record in records:
+        m = record["m"]
+        code, out = run_cli(["solve", "--m", str(m), "--format", "json"])
+        assert code == 0
+        solved = json.loads(out)
+        assert {k: solved[k] for k in shared} == {k: record[k] for k in shared}, m
+        assert record["reduction"] == (m // 2 if m % 4 == 2 else None), m
+    code, out = run_cli(["classify", "--m", "3..60", "--format", "tsv"])
+    assert code == 0
+    header, *rows = out.splitlines()
+    columns = header.split("\t")
+    assert columns == [*shared, "reduction"] and len(rows) == len(records)
+    for row, record in zip(rows, records):
+        assert row.split("\t") == ["" if record[c] is None else str(record[c]) for c in columns]
+
+
 def test_solve_text():
     code, out = run_cli(["solve", "--m", "7"])
     assert code == 0

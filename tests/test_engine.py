@@ -184,22 +184,22 @@ def test_shortcut_agrees_with_generic_scan():
 
 
 def test_classification_statuses():
-    rows = classify_alpha(3, 12)
-    statuses = {row.m: row.status for row in rows}
+    statuses = {m: verdict.status for m, _, verdict in classify_alpha(3, 12)}
     for m in (3, 5, 6, 7, 9, 10, 11):
         assert statuses[m] == "superflow"
     for m in (4, 8, 12):
         assert statuses[m] == "none"
 
 
-def test_classification_fields_and_reductions():
-    rows = {row.m: row for row in classify_alpha(3, 12)}
-    assert rows[7].field == monomial_field(0, 0, 2, 0)
-    assert rows[7].field.pretty() == "y^4/x^2 • 0"
-    assert rows[6].reduction == 3
-    assert rows[10].reduction == 5
-    assert rows[7].reduction is None
-    assert rows[6].group_order == 6
+def test_classification_rows_are_the_verdicts_of_the_alpha_groups():
+    rows = {m: (group, verdict) for m, group, verdict in classify_alpha(3, 12)}
+    assert sorted(rows) == list(range(3, 13))
+    assert rows[7][1].field == monomial_field(0, 0, 2, 0)
+    assert rows[7][1].field.pretty() == "y^4/x^2 • 0"
+    assert rows[6][0].order == 6 and rows[7][0].order == 14
+    for m, (group, verdict) in rows.items():
+        assert group.gens == alpha_group(m).gens
+        assert verdict == find_superflow(alpha_group(m))
 
 
 def test_verdict_invariant_under_tau_conjugation():

@@ -238,8 +238,7 @@ def test_monomial_flow_field_is_one_term(family, k):
 
 
 def test_every_odd_alpha_verdict_is_the_field_of_one_catalog_flow():
-    for row in classify_alpha(3, 2001)[::2]:  # the odd m
-        m = row.m
+    for m, _, verdict in classify_alpha(3, 2001)[::2]:  # the odd m
         if m == 3:
             flow = ClosedFormFlow("parabolic")
         elif m % 4 == 3:
@@ -247,8 +246,8 @@ def test_every_odd_alpha_verdict_is_the_field_of_one_catalog_flow():
         else:
             flow = ClosedFormFlow("radical_y", (m - 1) // 4)
         field = flow.vector_field().normalized()
-        assert row.status == "superflow"
-        assert row.field == field and row.field.to_text() == field.to_text(), m
+        assert verdict.status == "superflow"
+        assert verdict.field == field and verdict.field.to_text() == field.to_text(), m
 
 
 def test_radical_x_scalar_value():

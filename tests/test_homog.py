@@ -22,8 +22,11 @@ def test_field_monomial_cancellation():
 
 
 def test_zero_field_is_canonical():
+    field = RatVF.monomial(0, 1) + RatVF.monomial(1, 3, root_of_unity(3))
     for z in (RatVF(HomPoly(6, [0] * 7), HomPoly(6, [0] * 7), 3, 1),
-              RatVF.monomial(1, 5, 0), monomial_field(0, 1, 3, 1, coeff=0)):
+              RatVF.monomial(1, 5, 0), monomial_field(0, 1, 3, 1, coeff=0),
+              field.scale(0), field.scale(Fraction(0)), field.scale(CycNum.zero(3)),
+              RatVF.zero().normalized()):
         assert z.is_zero
         assert (z.lx, z.ly) == (0, 0)
         assert z == RatVF.zero()

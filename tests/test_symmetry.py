@@ -164,6 +164,11 @@ def test_diagonal_solve_known_families():
     assert diagonal_symmetry_solve(monomial_field(0, 0, 0, 0)).exponents == (2, 1)
 
 
+def test_diagonal_solve_of_two_incompatible_components_is_none():
+    # y^2 in the first component needs s^(-1) t^2 = 1 (k = -1), y^2 in the second t = 1 (k = 0)
+    assert diagonal_symmetry_solve(RatVF.monomial(0, 0) + RatVF.monomial(1, 0)) is None
+
+
 def test_diagonal_solve_rejects_non_monomial():
     square = HomPoly(2, [1, -2, 1])
     with pytest.raises(ValueError):
@@ -192,6 +197,9 @@ def test_finite_order_identity_and_infinite():
     assert family_finite_order(gamma_sph(), (1, 0)) == 1
     assert family_finite_order(gamma_sph(), (1, 2)) is None
     assert family_finite_order(delta_tilde(), (2, 1)) is None  # b=2, d=1
+    # an exact b: the identity exactly when b is zero
+    assert family_finite_order(delta_tilde(), (CycNum.zero(), 1)) == 1
+    assert family_finite_order(delta_tilde(), (CycNum.rational(2), 1)) is None
     assert family_finite_order(delta_tilde(), (0.5, CycNum.rational(2))) is None
 
 
