@@ -53,7 +53,7 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
     result = n
-    for p in _prime_factors(n):
+    for p in _prime_divisors(n):
         result -= result // p
     return result
 
@@ -70,7 +70,7 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def _prime_factors(n: int) -> list[int]:
+def _prime_divisors(n: int) -> list[int]:
     """The distinct primes dividing n, ascending."""
     primes, p = [], 2
     while p * p <= n:
@@ -471,7 +471,7 @@ class CycNum:
         if abs(abs(self.embed()) - 1.0) > _UNIT_MODULUS_TOL or self ** bound != 1:
             return None
         order = bound
-        for p in _prime_factors(bound):
+        for p in _prime_divisors(bound):
             while order % p == 0 and (self ** (order // p)) == 1:
                 order //= p
         return order
@@ -553,9 +553,9 @@ def torsion_root(order: int, power: int) -> CycNum:
 
     For odd N, zeta_2N = -zeta_N^((N+1)/2).
     """
-    if order % 2 == 0:
-        return root_of_unity(order, power)
-    return _odd_torsion(order, power % (2 * order))
+    if order % 2:
+        return _odd_torsion(order, power % (2 * order))
+    return _root(order, power % order)
 
 
 @lru_cache(maxsize=None)

@@ -56,7 +56,7 @@ def _survivor_class(group: MonomialGroup, component: int):
     g = gcd(cM, n) divides d - c r, and then k is one class mod n/g.
     """
     n, r, M = group.n, 0, 1
-    for s, t in group.diagonal_logs():
+    for s, t in group.diagonal_logs:
         c, d = s - t, -_exponent(component, 0, s, t)
         g = math.gcd(c * M, n)
         if (d - c * r) % g:

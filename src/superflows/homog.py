@@ -177,22 +177,19 @@ class RatVF:
     def conjugate(self, L: Mat2) -> "RatVF":
         """Exact L^(-1) o V o L.
 
-        A diagonal or antidiagonal L, whatever the denominator, takes the
-        monomial branch: `_monomial_action` gives each term's factor e[k],
-        k = a - 1 + c, and antidiag(s, t) also sends the term (c, a) to
-        (1 - c, 2 - a), which reverses the term order.  Any other invertible
-        L needs a trivial denominator and takes the generic branch, which
-        substitutes L into the at most six terms; with a nontrivial
-        denominator the image denominator would not be a monomial, and
-        NonMonomialDenominatorError is raised.
+        A nonsingular diagonal or antidiagonal L, whatever the denominator,
+        takes the monomial branch: `_monomial_action` gives each term's
+        factor s^k t^(1-k), k = a - 1 + c, and antidiag(s, t) also sends
+        the term (c, a) to (1 - c, 2 - a), which reverses the term order.
+        Any other invertible L needs a trivial denominator and takes the
+        generic branch, which substitutes L into the at most six terms; with
+        a nontrivial denominator the image denominator would not be a
+        monomial, and NonMonomialDenominatorError is raised.
         """
-        ks = [a - 1 + component for component, a, _ in self.terms]
-        action = _monomial_action(L, min(ks, default=0), max(ks, default=0))
+        action = _monomial_action(L, [a - 1 + component for component, a, _ in self.terms])
         if action is not None:
-            swaps, e = action
-            if self.is_zero:
-                return self
-            terms = [(component, a, c * e[k]) for (component, a, c), k in zip(self.terms, ks)]
+            swaps, factors = action
+            terms = [(component, a, c * e) for (component, a, c), e in zip(self.terms, factors)]
             return RatVF.from_terms(_swapped(terms) if swaps else terms)
         det = L.det()
         if det.is_zero():
@@ -326,36 +323,27 @@ def _field_evaluator(terms, lx: int, ly: int):
     return evaluate
 
 
-def _monomial_action(L: Mat2, lo: int, hi: int):
-    """How L acts on Laurent monomials: (swaps, e) for a diagonal or antidiagonal L, else None.
+def _monomial_action(L: Mat2, ks):
+    """(swaps, [e_k for k in ks]) for a nonsingular diagonal or antidiagonal L, else None.
 
     x -> s x, y -> t y (diag(s, t)) takes c x^a y^(2-a) in the first
     component to c s^(a-1) t^(2-a) x^a y^(2-a), and in the second to
     c s^a t^(1-a) x^a y^(2-a): the term (component, a) is multiplied by
-    e[k] = s^k t^(1-k), k = a - 1 + component.  antidiag(s, t) takes
-    x -> s y and y -> t x with the same factors, and `swaps` is True: it
-    sends the term to (1 - component, 2 - a).  e is kept on L and covers
-    lo <= k <= hi (see `_monomial_factors`).  A singular diagonal or
-    antidiagonal L raises ZeroDivisionError.
-
-    The entries are tested once per matrix: the first action found is kept
-    on L as `_swaps`, and a later call reads it and only fills the missing
-    k.  A singular or non-monomial L keeps nothing, so it raises or
-    returns None on every call.
+    e_k = s^k t^(1-k), k = a - 1 + component.  antidiag(s, t) takes
+    x -> s y and y -> t x with the same factors, and `swaps` is 1: it
+    sends the term to (1 - component, 2 - a).  When L.monomial_exponents()
+    holds the exponents of roots s = zeta_n^i and t = zeta_n^j, e_k is the
+    root zeta_n^(j + k(i - j)), looked up with no product; otherwise it is
+    the power s**k * t**(1-k).
     """
-    swaps = L._swaps
-    if swaps is None:
-        diagonal = L.is_diagonal()
-        if not (diagonal or L.is_antidiagonal()):
-            return None
-        s, t = (L.a, L.d) if diagonal else (L.b, L.c)
-        if s.is_zero() or t.is_zero():
-            raise ZeroDivisionError("conjugating matrix is singular")
-        swaps = not diagonal
-        object.__setattr__(L, "_swaps", swaps)
-    else:
-        s, t = (L.b, L.c) if swaps else (L.a, L.d)
-    return swaps, _monomial_factors(L, s, t, lo, hi)
+    read = L.monomial_exponents()
+    if read is None:
+        return None
+    swaps, s, t = read
+    if s.__class__ is int:
+        order, step = L.conductor, s - t
+        return swaps, [torsion_root(order, t + k * step) for k in ks]
+    return swaps, [s ** k * t ** (1 - k) for k in ks]
 
 
 def _swapped(terms) -> list:
@@ -364,37 +352,6 @@ def _swapped(terms) -> list:
     The term (component, a) goes to (1 - component, 2 - a).
     """
     return [(1 - component, 2 - a, c) for component, a, c in reversed(terms)]
-
-
-def _monomial_factors(L: Mat2, s: CycNum, t: CycNum, lo: int, hi: int) -> dict:
-    """L's factors e[k] = s^k t^(1-k), kept on L and extended to cover lo <= k <= hi.
-
-    A MonomialGroup element records its exponents (n, s, t), and each
-    missing e[k] is the root zeta_n^(ks + (1-k)t), read off the power table
-    with no product.  For any other matrix the keys form one run of
-    integers around e[0] = t: the factors grow from t by s/t upward and by
-    t/s downward.
-    """
-    e = L._factors
-    if e is None:
-        e = {0: t}
-        object.__setattr__(L, "_factors", e)
-    if L._exponents is not None:
-        n, es, et = L._exponents
-        for k in range(lo, hi + 1):
-            if k not in e:
-                e[k] = torsion_root(L.conductor, (k * es + (1 - k) * et) % n)
-    elif lo not in e or hi not in e:
-        top, bottom = max(e), min(e)
-        if top < hi:
-            up = s * t.inverse()
-            for k in range(top, hi):
-                e[k + 1] = e[k] * up
-        if bottom > lo:
-            down = t * s.inverse()
-            for k in range(bottom, lo, -1):
-                e[k - 1] = e[k] * down
-    return e
 
 
 def monomial_field(component: int, i: int, lx: int, ly: int, coeff=1) -> RatVF:
@@ -410,7 +367,7 @@ def reynolds_average(group, field: RatVF) -> RatVF:
     """The exact group average (1/|G|) sum of g^(-1) o V o g over g in G.
 
     By linearity each term c x^a y^(2-a) averages on its own.  A diagonal
-    or antidiagonal g multiplies the term by its factor e_g[k],
+    or antidiagonal g multiplies the term by its factor e_k,
     k = a - 1 + component, and keeps or swaps its slot (see
     `_monomial_action`), so per k and image slot the factors of those
     elements are added in one CycNum.sum, which every term with that k
@@ -425,11 +382,11 @@ def reynolds_average(group, field: RatVF) -> RatVF:
     zero field.
     """
     ks = [a - 1 + component for component, a, _ in field.terms]
-    lo, hi = min(ks, default=0), max(ks, default=0)
+    distinct = list(set(ks))
     tables = ([], [])  # the factors e of the diagonal, then of the antidiagonal elements
     pieces = []
     for g in group:
-        action = _monomial_action(g, lo, hi)
+        action = _monomial_action(g, distinct)
         if action is None:
             pieces.append(field.conjugate(g))
         else:
@@ -441,7 +398,7 @@ def reynolds_average(group, field: RatVF) -> RatVF:
         # a list, not a generator: tuple() of a generator is built by
         # resizing, not from the tuple free list, yet freed onto it, so
         # that list would grow to its cap and raise the peak RSS
-        totals = {k: CycNum.sum([e[k] for e in factors]) for k in set(ks)}
+        totals = {k: CycNum.sum([e[i] for e in factors]) for i, k in enumerate(distinct)}
         terms = [
             (component, a, c * totals[k])
             for (component, a, c), k in zip(field.terms, ks)

@@ -35,18 +35,12 @@ CLOSURE_CAP = 10_000
 class Mat2:
     """An invertible-or-not 2x2 matrix with entries in one cyclotomic field.
 
-    The entries are immutable.  `_factors` and `_swaps` are filled lazily
-    by RatVF.conjugate, and only for a nonsingular diagonal or antidiagonal
-    matrix: with s and t its nonzero entries, `_factors` is keyed by k and
-    holds the conjugation factor s^k t^(1-k), so a group element builds each
-    factor once and frees them with itself, and `_swaps` records whether it
-    is antidiagonal, so its entries are tested once.  `_exponents` is None,
-    or the plain ints (n, s, t) of an element that MonomialGroup wrote out,
-    whose nonzero entries are zeta_n^s and zeta_n^t; its factors are then
-    the roots zeta_n^(ks + (1-k)t).
+    The entries are immutable.  `_exponents` keeps the triple that
+    `monomial_exponents` reads off root-of-unity entries, or None before
+    that; a MonomialGroup element is written with it set.
     """
 
-    __slots__ = ("a", "b", "c", "d", "_factors", "_swaps", "_exponents")
+    __slots__ = ("a", "b", "c", "d", "_exponents")
 
     def __init__(self, a, b, c, d):
         entries = [v if v.__class__ is CycNum else as_cycnum(v) for v in (a, b, c, d)]
@@ -58,8 +52,6 @@ class Mat2:
         object.__setattr__(self, "b", entries[1])
         object.__setattr__(self, "c", entries[2])
         object.__setattr__(self, "d", entries[3])
-        object.__setattr__(self, "_factors", None)
-        object.__setattr__(self, "_swaps", None)
         object.__setattr__(self, "_exponents", None)
 
     def __setattr__(self, name, value):
@@ -95,6 +87,30 @@ class Mat2:
 
     def is_antidiagonal(self) -> bool:
         return self.a.is_zero() and self.d.is_zero()
+
+    def monomial_exponents(self):
+        """(swaps, s, t) for a nonsingular diagonal or antidiagonal matrix, else None.
+
+        swaps is 0 for diag(s, t) and 1 for [[0, s], [t, 0]].  When both
+        nonzero entries are roots of unity, s and t are the plain ints with
+        entries torsion_root(conductor, s) and torsion_root(conductor, t),
+        powers of zeta_n, n = lcm(2, conductor): they are read once, by
+        torsion_log, and kept.  Otherwise s and t are the entries themselves,
+        and they are read again on every call.
+        """
+        if self._exponents is not None:
+            return self._exponents
+        swaps = int(self.is_antidiagonal())
+        if not (swaps or self.is_diagonal()):
+            return None
+        s, t = (self.b, self.c) if swaps else (self.a, self.d)
+        if s.is_zero() or t.is_zero():
+            return None
+        logs = s.torsion_log(), t.torsion_log()
+        if None in logs:
+            return swaps, s, t
+        object.__setattr__(self, "_exponents", (swaps, *logs))
+        return self._exponents
 
     def __mul__(self, other):
         if not isinstance(other, Mat2):
@@ -225,14 +241,6 @@ def generate_group(generators) -> FiniteMatrixGroup:
     return FiniteMatrixGroup(gens, list(seen.values()), conductor)
 
 
-def _discrete_log(u: CycNum, n: int) -> int:
-    """The k with u == zeta_n^k, n a multiple of lcm(2, u.order): u's torsion_log, rescaled to n."""
-    j = u.torsion_log()
-    if j is None:
-        raise ValueError(f"{u.to_text()} is not a power of zeta_{n}")
-    return j * (n // math.lcm(2, u.order))
-
-
 def _times(g, h, n: int):
     """Product of two exponent triples; an antidiagonal left factor swaps h's pair."""
     kind, s, t = g
@@ -253,7 +261,7 @@ class MonomialGroup(FiniteMatrixGroup):
     With n = lcm(2, conductor), the triple (0, s, t) is diag(zeta_n^s,
     zeta_n^t) and (1, s, t) is [[0, zeta_n^s], [zeta_n^t, 0]].  `gens`
     holds the generators as such triples.  The diagonal elements are the
-    lattice L spanned by `diagonal_logs()` and nZ^2, mod n.  The closed set
+    lattice L spanned by `diagonal_logs` and nZ^2, mod n.  The closed set
     `triples` and the Mat2 `generators` and `elements` are computed on first
     use, the matrices at the group's own conductor.
     """
@@ -267,24 +275,28 @@ class MonomialGroup(FiniteMatrixGroup):
 
     @staticmethod
     def from_matrices(generators) -> "MonomialGroup":
-        """The group generated by diagonal and antidiagonal Mat2s.
+        """The group generated by nonsingular diagonal and antidiagonal Mat2s.
 
-        Only the generators are converted, by discrete logs of their entries
-        that are confirmed exactly; the group is then held in exponent form.
+        Only the generators are converted, by their monomial_exponents, which
+        must be those of roots of unity; each is rescaled from lcm(2, its own
+        conductor) to n, and the group is then held in exponent form.
         """
         gens = list(generators)
         conductor = math.lcm(*(g.conductor for g in gens))
         n = math.lcm(2, conductor)
         triples = []
         for g in gens:
-            kind = int(g.is_antidiagonal())
-            if not (kind or g.is_diagonal()):
+            read = g.monomial_exponents()
+            if read is None:
                 raise ValueError(
-                    "only groups generated by diagonal or antidiagonal matrices "
-                    "preserve monomial denominators"
+                    "only groups generated by nonsingular diagonal or antidiagonal "
+                    "matrices preserve monomial denominators"
                 )
-            u, v = (g.b, g.c) if kind else (g.a, g.d)
-            triples.append((kind, _discrete_log(u, n), _discrete_log(v, n)))
+            kind, s, t = read
+            if s.__class__ is not int:
+                raise ValueError(f"an entry of {g.to_text()} is not a power of zeta_{n}")
+            scale = n // math.lcm(2, g.conductor)
+            triples.append((kind, s * scale, t * scale))
         return MonomialGroup(conductor, triples)
 
     @cached_property
@@ -303,26 +315,32 @@ class MonomialGroup(FiniteMatrixGroup):
     def _lattice_index(self, *extra) -> int:
         """[Z^2 : L + extra], the gcd of the 2x2 minors of the spanning vectors."""
         n = self.n
-        vectors = [(n, 0), (0, n), *self.diagonal_logs(), *extra]
+        vectors = [(n, 0), (0, n), *self.diagonal_logs, *extra]
         return math.gcd(*(s * v - t * u for (s, t), (u, v) in combinations(vectors, 2)))
 
-    @property
+    @cached_property
+    def _index(self) -> int:
+        """[Z^2 : L], computed once."""
+        return self._lattice_index()
+
+    @cached_property
     def order(self) -> int:
         """|L / nZ^2| = n^2 / [Z^2 : L] diagonal elements, doubled by a swap."""
-        return self.n ** 2 // self._lattice_index() * (1 if self.swap is None else 2)
+        return self.n ** 2 // self._index * (1 if self.swap is None else 2)
 
     def has_minus_identity(self) -> bool:
         """-I is diagonal, so it is in the group iff (n/2, n/2) lies in L."""
         half = self.n // 2
-        return self._lattice_index((half, half)) == self._lattice_index()
+        return self._lattice_index((half, half)) == self._index
 
-    @property
+    @cached_property
     def swap(self):
         """One antidiagonal generator, or None for a diagonal group."""
         return next((g for g in self.gens if g[0]), None)
 
-    def diagonal_logs(self) -> list[tuple[int, int]]:
-        """(s, t) of a generating set of the diagonal elements.
+    @cached_property
+    def diagonal_logs(self) -> tuple[tuple[int, int], ...]:
+        """(s, t) of a generating set of the diagonal elements, computed once.
 
         They form a subgroup of index 1 or 2 with coset representatives the
         identity and `swap`, so by Schreier's lemma r.g.rep(r.g)^(-1) over
@@ -336,21 +354,21 @@ class MonomialGroup(FiniteMatrixGroup):
                 p = _times(r, g, n)
                 _, s, t = _times(p, _inverse(reps[p[0]], n), n)
                 logs[s, t] = None
-        return list(logs)
+        return tuple(logs)
 
     def root(self, k: int) -> CycNum:
         """zeta_n^k at the group's conductor."""
         return torsion_root(self.conductor, k)
 
     def _matrix(self, triple) -> Mat2:
-        """The element as a Mat2 that records its exponents (n, s, t)."""
+        """The element as a Mat2 that keeps its triple as its monomial_exponents."""
         kind, s, t = triple
         zero = CycNum.zero(self.conductor)
         if kind:
             matrix = Mat2(zero, self.root(s), self.root(t), zero)
         else:
             matrix = Mat2(self.root(s), zero, zero, self.root(t))
-        object.__setattr__(matrix, "_exponents", (self.n, s, t))
+        object.__setattr__(matrix, "_exponents", triple)
         return matrix
 
     @cached_property

@@ -78,6 +78,23 @@ def test_invariant_space_known_superflow_fields():
     assert invariant_space(alpha_group(5), 0, 1) == [monomial_field(1, 3, 0, 1)]
 
 
+def test_invariant_space_of_a_non_monomial_group_is_exact():
+    # [[0, -1], [1, -1]] has order 3 and is neither diagonal nor antidiagonal,
+    # so its averages are dense and _eliminate back-substitutes.  The
+    # character count (6 + 0 + 0)/3 gives dimension 2; with tau, the group is
+    # S_3 and one field is left: (x^2 - 2xy, y^2 - 2xy), up to a scalar
+    rotation = Mat2(0, -1, 1, -1)
+    groups = [generate_group([rotation]), generate_group([rotation, tau()])]
+    assert [group.order for group in groups] == [3, 6]
+    spaces = [invariant_space(group, 0, 0) for group in groups]
+    assert [len(space) for space in spaces] == [2, 1]
+    want = RatVF.sum([RatVF.monomial(0, 2), RatVF.monomial(0, 1, -2),
+                      RatVF.monomial(1, 0), RatVF.monomial(1, 1, -2)])
+    assert spaces[1] == [want.normalized()]
+    for group, space in zip(groups, spaces):
+        assert all(field.conjugate(g) == field for field in space for g in group)
+
+
 def _reynolds_space(group, deg):
     """The Reynolds spaces over every denominator x^lx y^(deg-lx), merged."""
     return _eliminate([f for lx in range(deg + 1) for f in invariant_space(group, lx, deg - lx)])

@@ -10,7 +10,7 @@ from superflows import cyclotomic
 from superflows.cyclotomic import CycNum, root_of_unity
 from superflows.errors import NonMonomialDenominatorError, SingularPointError
 from superflows.flows import catalog, nonalgebraic_field
-from superflows.homog import HomPoly, RatVF, _monomial_factors, monomial_field, reynolds_average
+from superflows.homog import HomPoly, RatVF, _monomial_action, monomial_field, reynolds_average
 from superflows.matgroup import Mat2, MonomialGroup, alpha_group, alpha_matrix, generate_group, tau
 
 
@@ -254,13 +254,32 @@ def _conjugate_by_composition(v: RatVF, L: Mat2) -> RatVF:
     )
 
 
+def _other_monomial_matrices() -> list:
+    """Diagonal and antidiagonal matrices built from entries: roots of unity, or other entries."""
+    gaussian = CycNum(4, [Fraction(3, 5), Fraction(4, 5)])  # (3 + 4i)/5, of modulus one
+    return [
+        tau(),
+        Mat2.diagonal(2, 3),
+        Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0),
+        Mat2.diagonal(gaussian, root_of_unity(12, 5)),
+        Mat2(0, root_of_unity(12, 7), root_of_unity(4), 0),
+    ]
+
+
+def _power_factors(L: Mat2, ks) -> list:
+    """s**k * t**(1-k) for each k, with s and t the nonzero entries of L in reading order."""
+    s, t = (L.a, L.d) if L.is_diagonal() else (L.b, L.c)
+    return [s ** k * t ** (1 - k) for k in ks]
+
+
 def test_monomial_conjugation_matches_composition():
-    # conjugate() sends monomial matrices through its running-product branch;
-    # the substitution formula is the independent check of that branch
+    # conjugate() sends monomial matrices through its factor branch, which
+    # looks roots up by exponents and takes powers of other entries; the
+    # substitution formula is the independent check of that branch
     rng = random.Random(43)
     for m in (3, 5, 7):
         v = _dense_polynomial_field(rng, m)
-        for L in [tau(), Mat2.diagonal(2, 3), *alpha_group(m)]:
+        for L in [*_other_monomial_matrices(), *alpha_group(m)]:
             assert v.conjugate(L) == _conjugate_by_composition(v, L)
 
 
@@ -268,12 +287,12 @@ def _keys(v: RatVF):
     return v.lx, v.ly, [(component, a, c.key()) for component, a, c in v.terms]
 
 
-def test_conjugation_factors_kept_on_the_matrix_match_a_fresh_build():
-    # fields of other shapes first extend the factors kept on L up and down
-    # in k; the image must still match the one a fresh matrix builds
+def test_conjugation_by_a_used_matrix_matches_a_fresh_build():
+    # fields of other shapes first use L, which then keeps the exponents of
+    # root entries; the image must still match the one a fresh matrix builds
     rng = random.Random(61)
     shapes = [(2, 0), (1, 1), (0, 2), (0, 0), (1, 0)]
-    matrices = [tau(), Mat2.diagonal(2, 3), Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0)]
+    matrices = _other_monomial_matrices()
     for m in (3, 5, 7):
         matrices += alpha_group(m).elements
     for L in matrices:
@@ -286,27 +305,34 @@ def test_conjugation_factors_kept_on_the_matrix_match_a_fresh_build():
                 assert _keys(kept) == _keys(fresh)
 
 
-def test_factors_read_off_the_exponents_match_the_walk():
-    # a MonomialGroup element reads e[k] off its exponents; the same matrix
-    # built from its entries alone walks from t by products
+def test_factors_read_off_the_exponents_match_the_powers():
+    # a root-entry matrix looks each factor up by its exponents, which a
+    # MonomialGroup element holds from construction and a matrix built from
+    # its entries reads by torsion_log on first use; both must equal the
+    # power s**k * t**(1-k) in value, order and key
+    ks = range(-8, 11)
     groups = [alpha_group(m) for m in range(3, 41)]
     groups += [
         MonomialGroup.from_matrices(gens)
         for gens in monomial_generators()
         if any(g.is_antidiagonal() for g in gens)
     ]
-    for group in groups:
-        for L in group.elements:
-            walker = Mat2(*L.entries())
-            assert L._exponents is not None and walker._exponents is None
-            s, t = (L.a, L.d) if L.is_diagonal() else (L.b, L.c)
-            read = _monomial_factors(L, s, t, -8, 10)
-            walked = _monomial_factors(walker, s, t, -8, 10)
-            for k in range(-8, 11):
-                assert read[k] == walked[k]
-                assert (read[k].order, read[k].key()) == (walked[k].order, walked[k].key())
     L = alpha_group(5).elements[1]
-    assert (L * L)._exponents is None and L.lift(20)._exponents is None
+    built = [L * L, L.lift(20), *_other_monomial_matrices()]
+    for M in [g for group in groups for g in group.elements] + built:
+        fresh = Mat2(*M.entries())
+        assert fresh._exponents is None
+        powers = _power_factors(M, ks)
+        for matrix in (M, fresh):
+            swaps, factors = _monomial_action(matrix, ks)
+            assert swaps == int(M.is_antidiagonal())
+            assert factors == powers
+            assert [(e.order, e.key()) for e in factors] == [(p.order, p.key()) for p in powers]
+        assert fresh._exponents == M._exponents
+    _, s, t = L._exponents  # powers of zeta_10, so zeta_20^(2s) and zeta_20^(2t) at conductor 20
+    assert [M._exponents for M in built] == [
+        (0, 2 * s % 10, 2 * t % 10), (0, 2 * s, 2 * t), (1, 0, 0), None, None, None, (1, 7, 3),
+    ]
 
 
 def _receivers(monkeypatch, name: str) -> list:
@@ -340,16 +366,18 @@ def test_conjugation_by_a_monomial_group_inverts_nothing(inverse_calls):
 
 
 def test_second_conjugation_of_a_shape_inverts_nothing(inverse_calls):
+    # a root-entry matrix looks its factors up, so no conjugation by it
+    # inverts, the first one included; a matrix with another entry takes
+    # the powers s**k with k < 0 again on every call
     calls = inverse_calls
     rng = random.Random(67)
-    for L in (alpha_matrix(7), tau(), Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0)):
-        first, second = (_dense_polynomial_field(rng, 7, 2, 1) for _ in range(2))
-        calls.clear()
-        first.conjugate(L)
-        assert calls
-        calls.clear()
-        second.conjugate(L)
-        assert not calls
+    cases = ((alpha_matrix(7), False), (tau(), False),
+             (Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0), True))
+    for L, inverts in cases:
+        for field in [_dense_polynomial_field(rng, 7, 2, 1) for _ in range(2)]:
+            calls.clear()
+            field.conjugate(L)
+            assert bool(calls) == inverts
 
 
 def test_oracle_products_skip_zero_convolutions(monkeypatch):
@@ -387,7 +415,8 @@ def test_oracle_products_skip_zero_convolutions(monkeypatch):
             if v.is_zero:
                 continue
             lx, ly = v.lx, v.ly
-            v.conjugate(L)  # L keeps this shape's factors
+            v.conjugate(L)  # a root-entry L keeps its exponents
+            factors = _power_factors(L, [a - 1 + c for c, a, _ in v.terms])
             monkeypatch.setattr(cyclotomic, "_fold_table", counting_fold)
             monkeypatch.setattr(CycNum, "lift", counting_lift)
             monkeypatch.setattr(CycNum, "__mul__", counting_mul)
@@ -402,8 +431,7 @@ def test_oracle_products_skip_zero_convolutions(monkeypatch):
                 assert (image.lx, image.ly) == (ly, lx)
                 got = [(1 - c, 2 - a, u) for c, a, u in reversed(image.terms)]
             assert [(c, a) for c, a, _ in got] == [(c, a) for c, a, _ in v.terms]
-            e = L._factors
-            assert [u.key() for _, _, u in got] == [(u * e[a - 1 + c]).key() for c, a, u in v.terms]
+            assert [u.key() for _, _, u in got] == [(u * e).key() for (_, _, u), e in zip(v.terms, factors)]
     # a zero operand that does reach __mul__ returns before any lift or fold
     monkeypatch.setattr(cyclotomic, "_fold_table", counting_fold)
     monkeypatch.setattr(CycNum, "lift", counting_lift)
@@ -572,9 +600,10 @@ def test_reynolds_average_sums_the_factors_once_per_k(monkeypatch):
 
 
 def test_a_second_conjugation_tests_no_entry(is_zero_calls):
-    # the first conjugation by L tests its entries and keeps what it found;
-    # a second one reads that, and a group element also reads a wider
-    # field's missing factors off its exponents
+    # a group element holds its exponents from construction, and a matrix
+    # with root entries reads them on its first conjugation and keeps them;
+    # a later conjugation, of any field, tests no entry.  A matrix with
+    # another entry is read again on every call
     rng = random.Random(97)
     groups = [alpha_group(7), MonomialGroup.from_matrices([alpha_matrix(5), tau()])]
     for L in [g for group in groups for g in group.elements]:
@@ -585,12 +614,12 @@ def test_a_second_conjugation_tests_no_entry(is_zero_calls):
         assert is_zero_calls == []
         fresh = Mat2(*L.entries())
         assert [_keys(v) for v in images] == [_keys(narrow.conjugate(fresh)), _keys(wide.conjugate(fresh))]
-    for L in (tau(), Mat2.diagonal(2, 3), Mat2(0, root_of_unity(5, 2), Fraction(1, 3), 0)):
-        field = _dense_polynomial_field(rng, 5, 2, 1)
-        first = field.conjugate(L)
+    for L in _other_monomial_matrices() + [alpha_matrix(5)]:
+        field, wide = _dense_polynomial_field(rng, 5, 2, 1), _dense_polynomial_field(rng, 5, 3, 3)
+        first, want = field.conjugate(L), wide.conjugate(Mat2(*L.entries()))
         is_zero_calls.clear()
-        assert _keys(field.conjugate(L)) == _keys(first)
-        assert is_zero_calls == []
+        assert [_keys(field.conjugate(L)), _keys(wide.conjugate(L))] == [_keys(first), _keys(want)]
+        assert (is_zero_calls == []) == (L._exponents is not None)
 
 
 def test_singular_and_non_monomial_matrices_are_tested_on_every_use(monkeypatch):
@@ -612,7 +641,7 @@ def test_singular_and_non_monomial_matrices_are_tested_on_every_use(monkeypatch)
     for n in (1, 2):
         assert field.conjugate(shear) == want
         assert dets[0] == n  # the generic branch, once per call
-    assert shear._factors is shear._swaps is singular._factors is singular._swaps is None
+    assert shear._exponents is singular._exponents is None
 
 
 def test_reynolds_average_of_the_zero_field_is_zero():

@@ -2,7 +2,7 @@
 
 generate_group multiplies matrices of CycNum entries and shares no code with
 the integer closure, so equal element sets, orders and -I membership on the
-same generators check the exponent arithmetic, the discrete logs of
+same generators check the exponent arithmetic, the exponent reading of
 `from_matrices` and the Mat2 materialisation together.
 """
 
@@ -11,12 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from monomial_groups import conjugated_by, monomial_generators
 
+from superflows import matgroup
 from superflows.cyclotomic import CycNum, root_of_unity
 from superflows.engine import find_superflow
 from superflows.matgroup import (
     Mat2,
     MonomialGroup,
-    _discrete_log,
     alpha_group,
     alpha_matrix,
     generate_group,
@@ -86,7 +86,7 @@ def test_diagonal_logs_generate_the_diagonal_subgroup():
     # the Schreier generators close to exactly the diagonal elements
     for generators in monomial_generators():
         group = MonomialGroup.from_matrices(generators)
-        diagonal = MonomialGroup(group.conductor, [(0, s, t) for s, t in group.diagonal_logs()])
+        diagonal = MonomialGroup(group.conductor, [(0, s, t) for s, t in group.diagonal_logs])
         assert diagonal.triples == {g for g in group.triples if g[0] == 0}
 
 
@@ -101,9 +101,10 @@ def test_root_is_written_at_the_conductor():
 
 @pytest.mark.parametrize("m", range(3, 41))
 def test_discrete_log_reads_back_the_recorded_exponents(m):
+    # the same matrix built from its entries reads its exponents by torsion_log
     for g in alpha_group(m).elements:
-        n, s, t = g._exponents
-        assert (_discrete_log(g.a, n), _discrete_log(g.d, n)) == (s, t)
+        assert g._exponents[0] == 0
+        assert Mat2(*g.entries()).monomial_exponents() == g._exponents
 
 
 def test_from_matrices_rejects_other_generators():
@@ -111,8 +112,26 @@ def test_from_matrices_rejects_other_generators():
         MonomialGroup.from_matrices([Mat2(1, 1, 0, -1)])
     with pytest.raises(ValueError, match="not a power of zeta_2"):
         MonomialGroup.from_matrices([Mat2.diagonal(2, 1)])
+    with pytest.raises(ValueError, match="nonsingular diagonal or antidiagonal"):
+        MonomialGroup.from_matrices([Mat2.diagonal(0, 1)])
     with pytest.raises(ValueError):
         MonomialGroup(3, [])
+
+
+def test_the_structure_is_computed_once_per_group(monkeypatch):
+    # diagonal_logs' Schreier step inverts one coset representative per
+    # representative and generator; find_superflow and two reads of order
+    # run that step once
+    inverted = []
+    inverse = matgroup._inverse
+    monkeypatch.setattr(matgroup, "_inverse", lambda g, n: inverted.append(g) or inverse(g, n))
+    cases = ((alpha_group(7), 1), (alpha_group(12), 1),
+             (MonomialGroup.from_matrices([alpha_matrix(5), tau()]), 4))
+    for group, steps in cases:
+        inverted.clear()
+        find_superflow(group)
+        assert group.order == group.order == len(group.triples)
+        assert len(inverted) == steps
 
 
 def test_membership_of_matrices():
