@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from . import engine, flows, selftest, symmetry
@@ -88,12 +90,9 @@ def _json_line(record: dict) -> str:
 
 
 def _emit(lines, args):
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as handle:
+        handle.writelines(line + "\n" for line in lines)
+        handle.flush()  # so that a closed reader of stdout raises here, inside main's handler
 
 
 def _judge(record, args):
@@ -113,7 +112,7 @@ def _report(records, args):
 
 
 def _verdict_keys(m, group, verdict) -> dict:
-    """The five JSON keys that solve and classify share, read off the verdict of <alpha(m)>."""
+    """The five JSON keys that solve and classify share, in TSV column order, from <alpha(m)>'s verdict."""
     return {"m": m, "group_order": group.order, "status": verdict.status,
             "denom_degree": verdict.denom_degree,
             "field": verdict.field.to_text() if verdict.field else None}
@@ -139,8 +138,7 @@ def _classify_text(rows):
 def _classify_tsv(rows):
     yield "m\tgroup_order\tstatus\tdenom_degree\tfield\treduction"
     for m, group, verdict in rows:
-        field = verdict.field.to_text() if verdict.field else None
-        values = (m, group.order, verdict.status, verdict.denom_degree, field, _reduction(m))
+        values = (*_verdict_keys(m, group, verdict).values(), _reduction(m))
         yield "\t".join(["" if v is None else str(v) for v in values])
 
 
@@ -280,6 +278,11 @@ def main(argv=None) -> int:
         _emit(map(_json_line, json_records) if args.format == "json" else text, args)
     except argparse.ArgumentError as exc:
         parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader of stdout has gone: the run ends quietly, and the exit flush writes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,6 +28,7 @@ adds two monomials per component to those of the degree below.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .cyclotomic import CycNum
@@ -235,12 +236,8 @@ def find_superflow(
     return SuperflowVerdict("superflow", field.normalized(), degree, 1)
 
 
-def classify_alpha(m_lo: int, m_hi: int) -> list[tuple[int, MonomialGroup, SuperflowVerdict]]:
-    """(m, group, verdict) for each m in [m_lo, m_hi]: the group <alpha(m)> and its verdict."""
+def classify_alpha(m_lo: int, m_hi: int) -> Iterator[tuple[int, MonomialGroup, SuperflowVerdict]]:
+    """(m, <alpha(m)>, verdict) for m in [m_lo, m_hi], decided when read; a bad range raises at once."""
     if not 3 <= m_lo <= m_hi:
         raise ValueError("need 3 <= m_lo <= m_hi")
-    rows = []
-    for m in range(m_lo, m_hi + 1):
-        group = alpha_group(m)
-        rows.append((m, group, find_superflow(group)))
-    return rows
+    return ((m, group, find_superflow(group)) for m in range(m_lo, m_hi + 1) for group in [alpha_group(m)])

@@ -3,12 +3,15 @@
 import argparse
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from superflows import cli, flows, matgroup, selftest
+from superflows import cli, engine, flows, matgroup, selftest
 from superflows.homog import monomial_field
 
 
@@ -348,3 +351,74 @@ def test_out_file(tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("m\t")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
+def test_out_file_holds_the_bytes_of_stdout(fmt, tmp_path):
+    argv = ["classify", "--m", "3..200", "--format", fmt]
+    code, out = run_cli(argv)
+    assert code == 0 and len(out.splitlines()) == 198 + (fmt == "tsv")
+    target = tmp_path / f"table.{fmt}"
+    assert run_cli(argv + ["--out", str(target)]) == (0, "")
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_classify_writes_each_row_before_deciding_the_next(monkeypatch):
+    decided = []
+    find_superflow = engine.find_superflow
+
+    def counted(group, *args, **kwargs):
+        decided.append(group)
+        return find_superflow(group, *args, **kwargs)
+
+    writes = []
+
+    class Recorder(io.StringIO):
+        """A stdout that notes how many verdicts were decided at each write."""
+        def write(self, text):
+            writes.append((len(decided), text))
+            return super().write(text)
+
+    monkeypatch.setattr(engine, "find_superflow", counted)
+    with redirect_stdout(Recorder()) as stdout:
+        assert cli.main(["classify", "--m", "3..50"]) == 0
+    assert [count for count, _ in writes] == list(range(1, 49))
+    assert writes[0][1].startswith("m=3 ")
+    assert stdout.getvalue() == run_cli(["classify", "--m", "3..50"])[1]
+
+
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path, capsys):
+    class ClosedPipe(io.StringIO):
+        """A stdout whose reader has gone, on a descriptor of its own."""
+        def __init__(self, fd):
+            super().__init__()
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    target = tmp_path / "stdout"
+    with open(target, "wb") as handle:
+        with redirect_stdout(ClosedPipe(handle.fileno())):
+            assert cli.main(["classify", "--m", "3..50"]) == 0
+        # the descriptor now leads to the null device, so a final flush writes nowhere
+        os.write(handle.fileno(), b"after the reader closed\n")
+    assert target.read_bytes() == b""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_classify_into_a_reader_that_takes_one_line_exits_0_with_empty_stderr():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "superflows.cli",
+            "classify", "--m", "3..100000"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first.startswith(b"m=3 ")
+    assert (code, err) == (0, b"")

@@ -219,6 +219,20 @@ def test_classification_rows_are_the_verdicts_of_the_alpha_groups():
         assert verdict == find_superflow(alpha_group(m))
 
 
+def test_classification_rows_are_decided_as_they_are_read():
+    # a range of 10^12 rows would never finish if the rows were decided before the first one
+    m, group, verdict = next(classify_alpha(3, 10**12))
+    assert m == 3 and group.gens == alpha_group(3).gens
+    assert verdict == find_superflow(alpha_group(3))
+
+
+def test_an_empty_classification_range_raises_at_the_call():
+    with pytest.raises(ValueError, match="3 <= m_lo <= m_hi"):
+        classify_alpha(5, 4)
+    with pytest.raises(ValueError, match="3 <= m_lo <= m_hi"):
+        classify_alpha(2, 4)
+
+
 def test_verdict_invariant_under_tau_conjugation():
     for m in (5, 7):
         group = alpha_group(m)
