@@ -10,9 +10,14 @@ different orders lifts both operands into Q(zeta_lcm) first.
 The coordinates are stored as integer numerators over one shared positive
 denominator (the layout of FLINT's fmpq_poly), kept canonical with
 gcd(den, *num) == 1, so equality is a tuple comparison and cancellation of
-root-of-unity sums is exact, never a floating-point call.  A product is an
-integer convolution folded back through a per-conductor table of z^e mod
-Phi_N.  Two products skip it: a zero factor gives the zero of the common
+root-of-unity sums is exact, never a floating-point call.  One rule reduces
+modulo Phi_N: every power z^e with e >= h folds down by z^h = -1 (h = N/2,
+N even) or z^h = 1 (h = N, N odd), and the rest is divided by the monic
+Phi_N from the top.  A product is an integer convolution reduced by it, and
+z^e is a unit vector for e < phi(N) and one reduction above, each row built
+on first use, so no table of every power of a conductor is ever held.  Phi_N
+itself is the product of (x^(N/d) - 1)^mu(d) over the squarefree d | N.
+Two products skip the convolution: a zero factor gives the zero of the common
 order before anything is lifted, and a rational factor scales the other
 factor's numerators, lifting them only when the rational's order does not
 divide theirs.  Both return exactly the full product, order and key
@@ -58,18 +63,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _prime_divisors(n: int) -> list[int]:
     """The distinct primes dividing n, ascending."""
     primes, p = [], 2
@@ -84,66 +77,68 @@ def _prime_divisors(n: int) -> list[int]:
     return primes
 
 
-def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Exact division of integer polynomials, den monic; remainder must vanish."""
-    num = list(num)
-    dn = len(den) - 1
-    qn = len(num) - 1 - dn
-    quot = [0] * (qn + 1)
-    for i in range(qn, -1, -1):
-        c = num[i + dn]
-        quot[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return quot
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending order, monic of degree phi(n)."""
-    if n == 1:
-        return (-1, 1)
-    poly = [0] * (n + 1)
-    poly[0], poly[n] = -1, 1
-    for d in _divisors(n):
-        if d < n:
-            poly = _int_poly_div_exact(poly, cyclotomic_polynomial(d))
+    """Integer coefficients of Phi_n, ascending order, monic of degree phi(n).
+
+    Phi_n is the product of (x^(n/d) - 1)^mu(d) over the squarefree d | n:
+    the factors of mu(d) = +1 multiply in first, and each of mu(d) = -1 then
+    divides out exactly, one binomial at a time.
+    """
+    binomials = [(n, 1)]  # (n/d, mu(d))
+    for p in _prime_divisors(n):
+        binomials += [(k // p, -mu) for k, mu in binomials]
+    poly = [1]
+    for k, mu in sorted(binomials, key=lambda b: -b[1]):
+        if mu > 0:  # poly * (x^k - 1)
+            poly = [a - b for a, b in zip([0] * k + poly, poly + [0] * k)]
+        else:  # poly / (x^k - 1): q[j] = q[j - k] - poly[j], bottom up
+            poly = [-c for c in poly[:-k]]
+            for j in range(k, len(poly)):
+                poly[j] += poly[j - k]
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple:
-    """Coordinates of z^e modulo Phi_n for 0 <= e < n, built upward from z^(e-1)."""
+def _modulus(n: int) -> tuple:
+    """(phi(n), h, sign, terms) for the reduction modulo Phi_n.
+
+    z^h = sign in Q(zeta_n), with h = n/2 and sign -1 for even n, h = n and
+    sign +1 for odd n; terms are the nonzero (i, c) of Phi_n below its top.
+    """
     deg = euler_phi(n)
-    phi = cyclotomic_polynomial(n)
-    rows = [tuple(int(i == e) for i in range(deg)) for e in range(deg)]
-    for _ in range(len(rows), n):
-        prev = rows[-1]
-        out = [0] + list(prev[: deg - 1])
-        top = prev[deg - 1]
-        if top:
-            for i in range(deg):
-                out[i] -= top * phi[i]
-        rows.append(tuple(out))
-    return tuple(rows)
+    h, sign = (n // 2, -1) if n % 2 == 0 else (n, 1)
+    terms = tuple((i, c) for i, c in enumerate(cyclotomic_polynomial(n)[:deg]) if c)
+    return deg, h, sign, terms
 
 
-def _reduced_power(n: int, e: int) -> tuple[int, ...]:
-    """Coordinates of z^e modulo Phi_n for 0 <= e < n (integer vector)."""
-    return _power_table(n)[e]
+def _reduce(n: int, coeffs: list) -> list:
+    """Coordinates modulo Phi_n of sum coeffs[e] * z^e, len(coeffs) >= phi(n).
+
+    Every power z^e with e >= h folds down to sign * z^(e-h), and what is
+    left of degree phi(n) or more is divided by the monic Phi_n from the top.
+    coeffs is an integer list that the reduction pops from the top and returns.
+    """
+    deg, h, sign, terms = _modulus(n)
+    for e in range(len(coeffs) - h - 1, -1, -1):  # pop z^(e+h) = sign * z^e
+        c = coeffs.pop()
+        if c:
+            coeffs[e] += sign * c
+    for s in range(len(coeffs) - deg - 1, -1, -1):  # pop z^(s+deg) = z^s * (z^deg - Phi_n)
+        c = coeffs.pop()
+        if c:
+            for i, p in terms:
+                coeffs[s + i] -= c * p
+    return coeffs
 
 
 @lru_cache(maxsize=None)
-def _fold_table(n: int) -> tuple:
-    """Sparse rows (j, r) of z^e mod Phi_n for phi(n) <= e < 2*phi(n) - 1."""
+def _reduced_power(n: int, e: int) -> tuple[int, ...]:
+    """Coordinates of z^e modulo Phi_n for 0 <= e < n (integer vector), built on first use."""
     deg = euler_phi(n)
-    return tuple(
-        tuple((j, r) for j, r in enumerate(_reduced_power(n, e % n)) if r)
-        for e in range(deg, 2 * deg - 1)
-    )
+    if e < deg:
+        return (0,) * e + (1,) + (0,) * (deg - e - 1)
+    return tuple(_reduce(n, [0] * e + [1]))
 
 
 def _power_map(num, n: int, k: int) -> tuple:
@@ -339,12 +334,7 @@ class CycNum:
             if c:
                 for j, d in y_terms:
                     prod[i + j] += c * d
-        out = prod[:deg]
-        for row, c in zip(_fold_table(a.order), prod[deg:]):
-            if c:
-                for j, r in row:
-                    out[j] += c * r
-        return _canonical(a.order, out, a._den * b._den)
+        return _canonical(a.order, _reduce(a.order, prod), a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -366,7 +356,7 @@ class CycNum:
         """Multiplicative inverse.
 
         A rational inverts its one coordinate.  A root of unity zeta_L^j
-        (torsion_log) inverts to zeta_L^(-j), one row of the power table.
+        (torsion_log) inverts to zeta_L^(-j), one reduced power of z.
         Any other u, those of modulus one included, is inverted through its
         norm: the product P of its Galois conjugates z -> z^k, 1 < k < N
         coprime to N, is N(u) / u with N(u) rational, so 1/u = P / N(u).
@@ -538,7 +528,7 @@ def binary_power(base, exponent: int, one):
 
 
 def root_of_unity(order: int, power: int = 1) -> CycNum:
-    """zeta_order**power in canonical reduced form: one row of the power table.
+    """zeta_order**power in canonical reduced form: z^(power % order) reduced modulo Phi_order.
 
     Values are immutable, so each order and reduced exponent power % order
     has one shared instance, built on first use.

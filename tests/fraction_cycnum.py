@@ -1,12 +1,12 @@
 """Reference Q(zeta_N) arithmetic with one fractions.Fraction per coordinate.
 
 This is the straightforward layout that `superflows.cyclotomic.CycNum`
-replaced with integer numerators over one shared denominator.  It shares
-only integer helpers (phi, Phi_N, the reduced powers of z and the divisor
-list) with the package, and serves as the differential oracle of the
-cyclotomic tests.  `from_powers` builds a CycNum from a sum of powers of z
-by the same Fraction reduction, the reference the constructors are checked
-against.
+replaced with integer numerators over one shared denominator.  It reduces
+modulo Phi_N by its own long division of Fraction polynomials, and shares
+only phi and the coefficients of Phi_N with the package, so it serves as
+the differential oracle of the cyclotomic tests, reduction included.
+`from_powers` builds a CycNum from a sum of powers of z by the same
+Fraction reduction, the reference the constructors are checked against.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
-from superflows.cyclotomic import CycNum, _divisors, _reduced_power, cyclotomic_polynomial, euler_phi
+from superflows.cyclotomic import CycNum, cyclotomic_polynomial, euler_phi
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -25,9 +26,22 @@ def from_powers(order: int, powers: dict) -> CycNum:
     """The CycNum sum of c * z^e over an {exponent: coefficient} mapping."""
     out = [_ZERO] * euler_phi(order)
     for e, c in powers.items():
-        for j, r in enumerate(_reduced_power(order, e % order)):
+        for j, r in enumerate(_power(order, e % order)):
             out[j] += Fraction(c) * r
     return CycNum(order, out)
+
+
+def _remainder(order: int, poly) -> list:
+    """The phi(order) Fraction coordinates of the polynomial poly(z) modulo Phi_order."""
+    _, rem = _poly_divmod(poly, [Fraction(c) for c in cyclotomic_polynomial(order)])
+    deg = euler_phi(order)
+    return (rem + [_ZERO] * deg)[:deg]
+
+
+@lru_cache(maxsize=None)
+def _power(order: int, e: int) -> tuple:
+    """Coordinates of z^e modulo Phi_order, the remainder of x^e by long division."""
+    return tuple(_remainder(order, [_ZERO] * e + [_ONE]))
 
 
 def _poly_trim(p):
@@ -83,13 +97,10 @@ class FractionCycNum:
 
     def lift(self, order: int) -> "FractionCycNum":
         k = order // self.order
-        out = [_ZERO] * euler_phi(order)
+        poly = [_ZERO] * ((len(self.coeffs) - 1) * k + 1)
         for i, c in enumerate(self.coeffs):
-            if c:
-                for j, r in enumerate(_reduced_power(order, (i * k) % order)):
-                    if r:
-                        out[j] += c * r
-        return FractionCycNum(order, out)
+            poly[i * k] = c
+        return FractionCycNum(order, _remainder(order, poly))
 
     def _common(self, other):
         if self.order == other.order:
@@ -103,20 +114,13 @@ class FractionCycNum:
 
     def __mul__(self, other):
         a, b = self._common(other)
-        n, deg = a.order, len(a.coeffs)
-        prod = [_ZERO] * (2 * deg - 1)
+        prod = [_ZERO] * (2 * len(a.coeffs) - 1)
         for i, ci in enumerate(a.coeffs):
             if ci:
                 for j, cj in enumerate(b.coeffs):
                     if cj:
                         prod[i + j] += ci * cj
-        out = list(prod[:deg])
-        for e in range(deg, len(prod)):
-            if prod[e]:
-                for j, r in enumerate(_reduced_power(n, e % n)):
-                    if r:
-                        out[j] += prod[e] * r
-        return FractionCycNum(n, out)
+        return FractionCycNum(a.order, _remainder(a.order, prod))
 
     def __eq__(self, other):
         a, b = self._common(other)
@@ -168,7 +172,8 @@ class FractionCycNum:
         if abs(abs(self.embed()) - 1.0) > 1e-9:
             return None
         one = FractionCycNum.rational(1)
-        for k in _divisors(math.lcm(2, self.order)):
-            if self ** k == one:
+        bound = math.lcm(2, self.order)
+        for k in range(1, bound + 1):
+            if bound % k == 0 and self ** k == one:
                 return k
         return None

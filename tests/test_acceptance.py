@@ -53,6 +53,26 @@ def test_reynolds_properties_fails_when_every_average_is_zero(monkeypatch):
     assert "every average is zero" in result.detail and "definition" not in result.detail
 
 
+def test_character_sums_name_each_disagreeing_monomial(monkeypatch):
+    # an "average" that returns every monomial unchanged keeps the ones off
+    # their survivor class too: over a = -2..3 of alpha(3), all but a = 0
+    monkeypatch.setattr(selftest, "reynolds_average", lambda group, field: field)
+    result = selftest.criterion_character_sums()
+    assert not result.passed
+    assert result.detail == "; ".join(
+        f"disagreement: alpha(3) component 0 a={a}" for a in (-2, -1, 1, 2, 3))
+
+
+def test_reynolds_properties_fail_on_a_doubled_average(monkeypatch):
+    # twice the identity is neither idempotent nor, on a field that is not
+    # already invariant, invariant; trial 0 of m = 3 fails all three checks
+    monkeypatch.setattr(selftest, "reynolds_average", lambda group, field: field.scale(2))
+    result = selftest.criterion_reynolds()
+    assert not result.passed
+    assert result.detail.startswith(
+        "m=3 trial 0: definition; m=3 trial 0: idempotence; m=3 trial 0: invariance")
+
+
 def test_classification_names_each_wrong_row(monkeypatch):
     # m = 4 given a superflow, and m = 7 given the field of m = 11
     rows = [(4, None, find_superflow(alpha_group(7))), (7, None, find_superflow(alpha_group(11)))]

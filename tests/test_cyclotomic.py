@@ -5,12 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from fraction_cycnum import from_powers
+from fraction_cycnum import FractionCycNum, from_powers
 
+from superflows import cyclotomic
 from superflows.cyclotomic import (
     CycNum,
     _power_map,
-    _reduced_power,
     as_cycnum,
     binary_power,
     cyclotomic_polynomial,
@@ -18,8 +18,9 @@ from superflows.cyclotomic import (
     root_of_unity,
     torsion_root,
 )
+from superflows.engine import find_superflow
 from superflows.homog import HomPoly
-from superflows.matgroup import Mat2
+from superflows.matgroup import Mat2, MonomialGroup
 from superflows.symmetry import family_finite_order, gamma_4k3
 
 ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15]
@@ -45,6 +46,56 @@ def test_cyclotomic_polynomials_known():
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(6) == (1, -1, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_polynomials_of_the_divisors_multiply_to_x_n_minus_1():
+    for n in range(1, 401):
+        poly = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic_polynomial(d)
+                out = [0] * (len(poly) + len(phi) - 1)
+                for i, a in enumerate(phi):
+                    if a:
+                        for j, b in enumerate(poly):
+                            out[i + j] += a * b
+                poly = out
+        assert poly == [-1] + [0] * (n - 1) + [1], n
+
+
+def test_cyclotomic_polynomial_105_has_a_coefficient_minus_2():
+    # the least n whose Phi_n has a coefficient outside {-1, 0, 1}
+    phi = cyclotomic_polynomial(105)
+    assert len(phi) == 49
+    assert [i for i, c in enumerate(phi) if c == -2] == [7, 41]
+    assert all(abs(c) <= 1 for n in range(1, 105) for c in cyclotomic_polynomial(n))
+
+
+@pytest.mark.parametrize("n", [7, 15, 105, 14, 210, 60])
+def test_products_and_lifts_match_the_fraction_oracle(n):
+    # 7 folds z^7 = 1 and then divides once; 15 and 105 divide several rows
+    # with no fold; 14 and 210 fold z^(n/2) = -1 at n = 2 mod 4, and 60 at 4 | n
+    rng = random.Random(n)
+    for _ in range(3):
+        a, b = random_cyc(rng, n), random_cyc(rng, n)
+        assert (a * b).coeffs == (FractionCycNum(n, a.coeffs) * FractionCycNum(n, b.coeffs)).coeffs
+    for d in (d for d in range(1, n) if n % d == 0 and euler_phi(d) > 1):
+        a = random_cyc(rng, d)
+        assert a.lift(n).coeffs == FractionCycNum(d, a.coeffs).lift(n).coeffs
+
+
+def test_a_dihedral_verdict_at_a_large_conductor_reduces_nothing_there(monkeypatch):
+    # Dih(4001) needs only the root 1 at its conductor, so no product, no
+    # reduced power above phi(4001) and no Phi_4001 is computed
+    orders = []
+    for name in ("cyclotomic_polynomial", "_reduce"):
+        def counting(n, *args, _original=getattr(cyclotomic, name)):
+            orders.append(n)
+            return _original(n, *args)
+        monkeypatch.setattr(cyclotomic, name, counting)
+    verdict = find_superflow(MonomialGroup(4001, [(0, 2, -2), (1, 0, 0)]))
+    assert (verdict.status, verdict.denom_degree) == ("superflow", 1999)
+    assert 4001 not in orders and 8002 not in orders
 
 
 def test_cyclotomic_polynomial_has_zeta_as_root():
@@ -188,14 +239,14 @@ def test_zero_is_one_shared_instance_per_order():
 def test_roots_of_unity_are_one_shared_instance_per_reduced_exponent():
     for n in range(1, 61):
         bound = math.lcm(2, n)
+        rows = [from_powers(n, {e: 1}) for e in range(n)]
         for j in range(-bound, 2 * bound):
             root, torsion = root_of_unity(n, j), torsion_root(n, j)
             assert root is root_of_unity(n, j - n)
             assert torsion is torsion_root(n, j + bound)
-            assert root.key() == CycNum._raw(n, _reduced_power(n, j % n), 1).key()
+            assert root.key() == rows[j % n].key()
             # zeta_2n = -zeta_n^((n+1)/2) for odd n
-            e = j if n % 2 == 0 else j * (n + 1) // 2
-            fresh = CycNum._raw(n, _reduced_power(n, e % n), 1)
+            fresh = rows[(j if n % 2 == 0 else j * (n + 1) // 2) % n]
             assert torsion.key() == (-fresh if n % 2 and j % 2 else fresh).key()
 
 
@@ -314,9 +365,9 @@ def test_euler_phi_matches_trial_division():
         assert euler_phi(n) == _euler_phi_by_trial_division(n)
 
 
-def test_power_table_at_large_conductor():
-    # z^e mod Phi_1470 for e up to 1469 lies 1,133 steps above phi(1470) = 336;
-    # the table is built iteratively, so no recursion limit is reached
+def test_reduced_powers_at_large_conductor():
+    # z^1469 mod Phi_1470 lies 1,133 powers above phi(1470) = 336; its one
+    # reduction folds and divides in loops, so no recursion limit is reached
     z = root_of_unity(1470)
     assert z.inverse() == root_of_unity(1470, 1469)
     assert z * z.inverse() == 1

@@ -382,15 +382,15 @@ def test_second_conjugation_of_a_shape_inverts_nothing(inverse_calls):
 
 def test_oracle_products_skip_zero_convolutions(monkeypatch):
     # monomial conjugation multiplies only nonzero terms, so it lifts and
-    # folds only inside products of nonzero operands; every image term
+    # reduces only inside products of nonzero operands; every image term
     # carries the key of the full product with its factor e[k]
     events, depth = [], [0]
-    fold, lift, mul = cyclotomic._fold_table, CycNum.lift, CycNum.__mul__
+    reduce, lift, mul = cyclotomic._reduce, CycNum.lift, CycNum.__mul__
 
-    def counting_fold(n):
+    def counting_reduce(n, coeffs):
         if not depth[0]:
-            events.append("fold")
-        return fold(n)
+            events.append("reduce")
+        return reduce(n, coeffs)
 
     def counting_lift(self, order):
         if not depth[0]:
@@ -417,7 +417,7 @@ def test_oracle_products_skip_zero_convolutions(monkeypatch):
             lx, ly = v.lx, v.ly
             v.conjugate(L)  # a root-entry L keeps its exponents
             factors = _power_factors(L, [a - 1 + c for c, a, _ in v.terms])
-            monkeypatch.setattr(cyclotomic, "_fold_table", counting_fold)
+            monkeypatch.setattr(cyclotomic, "_reduce", counting_reduce)
             monkeypatch.setattr(CycNum, "lift", counting_lift)
             monkeypatch.setattr(CycNum, "__mul__", counting_mul)
             monkeypatch.setattr(CycNum, "__rmul__", counting_mul)
@@ -432,8 +432,8 @@ def test_oracle_products_skip_zero_convolutions(monkeypatch):
                 got = [(1 - c, 2 - a, u) for c, a, u in reversed(image.terms)]
             assert [(c, a) for c, a, _ in got] == [(c, a) for c, a, _ in v.terms]
             assert [u.key() for _, _, u in got] == [(u * e).key() for (_, _, u), e in zip(v.terms, factors)]
-    # a zero operand that does reach __mul__ returns before any lift or fold
-    monkeypatch.setattr(cyclotomic, "_fold_table", counting_fold)
+    # a zero operand that does reach __mul__ returns before any lift or reduction
+    monkeypatch.setattr(cyclotomic, "_reduce", counting_reduce)
     monkeypatch.setattr(CycNum, "lift", counting_lift)
     for x, y in ((CycNum.zero(3), root_of_unity(4)), (root_of_unity(4), CycNum.zero(3))):
         assert (x * y).key() == CycNum.zero(12).key()
