@@ -27,14 +27,12 @@ from .matgroup import (
     alpha_group,
     alpha_matrix,
     generate_group,
-    matrix_finite_order,
     tau,
 )
 from .symmetry import (
     SymmetryFamily,
     check_field_symmetry,
     check_flow_symmetry,
-    diagonal_symmetry_solve,
     family_finite_order,
 )
 
@@ -49,7 +47,6 @@ __all__ = [
     "generate_group",
     "alpha_matrix",
     "alpha_group",
-    "matrix_finite_order",
     "tau",
     "HomPoly",
     "RatVF",
@@ -66,6 +63,5 @@ __all__ = [
     "SymmetryFamily",
     "check_field_symmetry",
     "check_flow_symmetry",
-    "diagonal_symmetry_solve",
     "family_finite_order",
 ]

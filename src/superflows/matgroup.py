@@ -26,7 +26,6 @@ __all__ = [
     "alpha_matrix",
     "alpha_group",
     "tau",
-    "matrix_finite_order",
 ]
 
 CLOSURE_CAP = 10_000
@@ -392,15 +391,3 @@ def alpha_group(m: int) -> MonomialGroup:
     n = math.lcm(2, m)
     return MonomialGroup(m, [(0, n // m, n // 2 - n // m)])
 
-
-def matrix_finite_order(matrix: Mat2, bound: int = 10_000):
-    """Least k <= bound with matrix**k == I, or None when no such k exists."""
-    if matrix.det().is_zero():
-        raise ValueError("matrix must be invertible")
-    ident = Mat2.identity(matrix.conductor)
-    power = matrix
-    for k in range(1, bound + 1):
-        if power == ident:
-            return k
-        power = power * matrix
-    return None

@@ -3,8 +3,7 @@
 Verification-first: the checks confirm that sampled members of a family fix
 a flow or a field (exactly where the data is exact, numerically otherwise)
 and that randomly drawn matrices outside the family fail.  No attempt is
-made to solve for the full symmetry group of an arbitrary field beyond the
-diagonal exponent solve for single-monomial fields.
+made to solve for the symmetry group of a field.
 
 Families:
 
@@ -39,7 +38,6 @@ __all__ = [
     "check_field_symmetry",
     "check_flow_symmetry",
     "check_family_draws",
-    "diagonal_symmetry_solve",
     "draw_samples",
     "family_finite_order",
     "flow_symmetry_family",
@@ -169,11 +167,6 @@ def _conjugation_residual(L, image, values, samples) -> list[float]:
     return residuals
 
 
-def _sup(residuals) -> float:
-    """The sup of a list of residuals under the one rule of flows.residual_sup (NaN sticks)."""
-    return residual_sup([(residuals, None)])[1]
-
-
 def _flow_side(flow: ClosedFormFlow, samples):
     """The samples (p, t) as complex scalars, and phi^t(p) at each: the side no L changes."""
     points = [((complex(p[0]), complex(p[1])), complex(t)) for p, t in samples]
@@ -204,7 +197,8 @@ def check_field_symmetry(L, field: RatVF, samples=None):
 
     evaluate = field.evaluator()
     values = [evaluate(x, y) for (x, y), _ in points]
-    resid = _sup(_conjugation_residual(L, lambda x, y, _: evaluate(x, y), values, points))
+    residuals = _conjugation_residual(L, lambda x, y, _: evaluate(x, y), values, points)
+    resid = residual_sup([(residuals, None)])[1]
     # an exact conjugate that differs fails whatever the samples show
     return not exact and resid <= SYMMETRY_TOL, resid
 
@@ -216,7 +210,7 @@ def check_flow_symmetry(L, flow: ClosedFormFlow, samples):
     BranchError, distinct from a residual failure.
     """
     points, values = _flow_side(flow, samples)
-    worst = _sup(_conjugation_residual(L, flow.time_map, values, points))
+    worst = residual_sup([(_conjugation_residual(L, flow.time_map, values, points), None)])[1]
     return worst <= SYMMETRY_TOL, worst
 
 
@@ -237,31 +231,6 @@ def check_family_draws(flow: ClosedFormFlow, samples, rng, draws: int) -> Verifi
             yield _conjugation_residual(member, phi, values, points), member
 
     return VerificationRecord(flow.label, "symmetry", *residual_sup(residuals()), SYMMETRY_TOL)
-
-
-def diagonal_symmetry_solve(field: RatVF):
-    """All diagonal symmetries diag(s, t) of a single-monomial field.
-
-    Conjugation by diag(s, t) scales the term x^a y^(2-a) of component c
-    by s^k t^(1-k), k = a - 1 + c, so invariance is one exponent equation
-    s^k t^(1-k) = 1 per nonzero component.  k and 1 - k are coprime, so the
-    solutions form exactly the one-parameter family (c^(k-1), c^k).
-    Returns a diagonal power family, or None when the two components force
-    incompatible equations.
-    """
-    if field.is_zero:
-        raise ValueError("the zero field has every symmetry")
-    components = [component for component, _, _ in field.terms]
-    if len(set(components)) < len(components):
-        raise ValueError("field numerators must be single monomials")
-    equations = {a - 1 + component for component, a, _ in field.terms}
-    if len(equations) > 1:
-        return None
-    k, = equations
-    e1, e2 = k - 1, k
-    if e1 < 0 or (e1 == 0 and e2 < 0):
-        e1, e2 = -e1, -e2
-    return SymmetryFamily("diagonal_power", (e1, e2), f"diag(c^{e1}, c^{e2})")
 
 
 def family_finite_order(family: SymmetryFamily, params):

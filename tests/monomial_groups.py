@@ -1,7 +1,26 @@
-"""Generator sets of monomial groups shared by the engine and group tests."""
+"""Generator sets of monomial groups shared by the engine and group tests.
+
+`cyclic_group(N, u)` and `dihedral_group(N)` build, in exponent form, the
+two families that every scalar-free finite subgroup of U(2) is conjugate to
+a member of.
+"""
+
+import math
 
 from superflows.cyclotomic import root_of_unity
-from superflows.matgroup import Mat2, generate_group, tau
+from superflows.matgroup import Mat2, MonomialGroup, generate_group, tau
+
+
+def cyclic_group(N: int, u: int) -> MonomialGroup:
+    """C(N, u) = <diag(zeta_N^(u+1), zeta_N^u)>, with zeta_N = zeta_n^(n/N), n = lcm(2, N)."""
+    k = math.lcm(2, N) // N
+    return MonomialGroup(N, [(0, (u + 1) * k, u * k)])
+
+
+def dihedral_group(N: int) -> MonomialGroup:
+    """Dih(N) = <diag(zeta_N, zeta_N^(-1)), tau>, of order 2N for odd N."""
+    k = math.lcm(2, N) // N
+    return MonomialGroup(N, [(0, k, -k), (1, 0, 0)])
 
 
 def conjugated_by(group, L):

@@ -9,8 +9,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from superflows import engine, selftest
+from superflows import engine, selftest, symmetry
+from superflows.cyclotomic import root_of_unity
 from superflows.engine import SuperflowVerdict, find_superflow
+from superflows.errors import BranchError
+from superflows.flows import catalog
 from superflows.homog import RatVF
 from superflows.matgroup import alpha_group, tau
 
@@ -117,3 +120,54 @@ def test_tau_reduction_names_a_missing_and_a_wrong_superflow(monkeypatch):
     even = find_superflow(alpha_group(10)).field
     assert result.detail == (
         f"m=6: missing superflow; m=10: {even.pretty()} != tau-conj {odd.pretty()}")
+
+
+def _paired_labels():
+    return [flow.label for flow in catalog() if flow.family != "level0"]
+
+
+def test_symmetry_families_name_each_random_matrix_that_passes(monkeypatch):
+    monkeypatch.setattr(symmetry, "check_flow_symmetry", lambda L, flow, samples: (True, 0.0))
+    result = selftest.criterion_symmetry_families()
+    assert not result.passed
+    assert result.detail == "; ".join(
+        f"{label}: random matrix passed (0.00e+00)" for label in _paired_labels() for _ in range(20))
+
+
+def test_symmetry_families_skip_a_draw_off_the_branch(monkeypatch):
+    # a draw that leaves the flow's branch is skipped, not counted: with every
+    # other draw skipped the criterion still passes, and with all of them no
+    # flow gets its 20 usable draws within 200 attempts
+    check = symmetry.check_flow_symmetry
+    calls = []
+
+    def every_other(L, flow, samples):
+        calls.append(L)
+        if len(calls) % 2:
+            raise BranchError("radicand path meets zero")
+        return check(L, flow, samples)
+
+    monkeypatch.setattr(symmetry, "check_flow_symmetry", every_other)
+    assert selftest.criterion_symmetry_families().passed
+    assert len(calls) >= 2 * 20 * len(_paired_labels())
+
+    def never(L, flow, samples):
+        raise BranchError("radicand path meets zero")
+
+    monkeypatch.setattr(symmetry, "check_flow_symmetry", never)
+    result = selftest.criterion_symmetry_families()
+    assert not result.passed
+    assert result.detail == "; ".join(
+        f"{label}: only 0 usable off-family draws" for label in _paired_labels())
+
+
+def test_symmetry_families_fail_on_wrong_finite_orders(monkeypatch):
+    # zeta_4 in place of zeta_3 makes the order-6 generator the identity,
+    # and a law that answers 1 everywhere misses both other orders
+    monkeypatch.setattr(selftest, "root_of_unity", lambda n: root_of_unity(n + 1))
+    monkeypatch.setattr(symmetry, "family_finite_order", lambda family, params: 1)
+    result = selftest.criterion_symmetry_families()
+    assert not result.passed
+    assert result.detail == (
+        "order-6 generator fails exact powering; gamma(d=1, b=2) should be infinite; "
+        "delta(b, zeta_6) should have order 6")

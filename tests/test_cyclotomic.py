@@ -386,3 +386,11 @@ def test_as_cycnum_is_the_one_exact_coercion():
     ):
         with pytest.raises(TypeError, match="need an exact value"):
             use(0.5)
+
+
+def test_str_is_the_exact_text_and_repr_wraps_it():
+    z = root_of_unity(3)
+    assert str(z) == z.to_text() == "z; z = zeta_3"
+    assert str(2 - z) == "2 - z; z = zeta_3"
+    assert repr(2 - z) == "CycNum('2 - z; z = zeta_3')"
+    assert repr(CycNum.zero()) == "CycNum('0; z = zeta_1')"

@@ -4,6 +4,7 @@ import math
 
 import pytest
 from monomial_groups import conjugated_by
+from symmetry_reference import matrix_finite_order
 
 from superflows import matgroup
 from superflows.cyclotomic import CycNum, binary_power, root_of_unity
@@ -13,7 +14,6 @@ from superflows.matgroup import (
     alpha_group,
     alpha_matrix,
     generate_group,
-    matrix_finite_order,
     tau,
 )
 
@@ -159,3 +159,10 @@ def test_diagonal_and_antidiagonal_predicates():
     assert tau().is_antidiagonal()
     assert not tau().is_diagonal()
     assert not Mat2(1, 2, 3, 4).is_diagonal()
+
+
+def test_repr_of_a_matrix_and_of_a_group():
+    assert repr(tau()) == "Mat2([[0; z = zeta_1, 1; z = zeta_1], [1; z = zeta_1, 0; z = zeta_1]])"
+    assert repr(alpha_matrix(3)) == "Mat2([[z; z = zeta_3, 0; z = zeta_3], [0; z = zeta_3, 1 + z; z = zeta_3]])"
+    assert repr(generate_group([alpha_matrix(3)])) == "FiniteMatrixGroup(order=6, conductor=3)"
+    assert repr(alpha_group(6)) == "MonomialGroup(order=6, conductor=6)"

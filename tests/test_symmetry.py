@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from symmetry_reference import diagonal_symmetry_solve, matrix_finite_order
 
 from superflows.cyclotomic import CycNum, root_of_unity
 from superflows.errors import BranchError
 from superflows.flows import ClosedFormFlow, catalog
 from superflows.homog import HomPoly, RatVF, monomial_field
-from superflows.matgroup import Mat2, matrix_finite_order
+from superflows.matgroup import Mat2
 from superflows.symmetry import (
     FAMILIES,
     SymmetryFamily,
@@ -17,7 +18,6 @@ from superflows.symmetry import (
     check_field_symmetry,
     check_flow_symmetry,
     delta_tilde,
-    diagonal_symmetry_solve,
     draw_samples,
     family_finite_order,
     flow_symmetry_family,
